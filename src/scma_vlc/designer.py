@@ -115,11 +115,14 @@ def _pgd_step(
     """One projected-gradient step with Armijo backtracking.
 
     Returns (point, objective, step size, accepted); on rejection the input
-    point is returned unchanged.
+    point is returned unchanged. A step size that has underflowed to zero
+    rejects, because the projection alone may still move the point.
     """
     vs2 = params.varsigma2
     g = logsumexp_gradient(x, beta, vs2)
     for _ in range(_MAX_BACKTRACKS):
+        if step == 0.0:
+            break
         cand = project_feasible(x.replace(x.L - step * g), params, config.epsilon_floor)
         move = cand.L - x.L
         move_sq = float(np.dot(move, move))
@@ -187,7 +190,6 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
     best_L: StackedVector | None = None
     for s in range(config.starts):
         x = random_init(params, config.seed + s, config.epsilon_floor, template)
-        f = logsumexp_objective(x, config.beta_schedule[0], params.varsigma2)
         step = 1.0
         for beta in config.beta_schedule[:-1]:
             f = logsumexp_objective(x, beta, params.varsigma2)

@@ -3,15 +3,20 @@
 Implements the shot-noise-rotated squared distance between superimposed
 codewords, brute-force min/max scans, the smoothed maxi-min objective with
 its analytic gradient, and equal-probability-density ellipse analytics.
+
+The objective and gradient use the per-resource structure of the points:
+a resource takes only M^d distinct values (d users on it), so every pair
+distance is a sum of entries of small per-resource tables, gathered through
+pair indices that are built once per codebook structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 from math import comb, log
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError, UnsupportedError
 from .model import Codebook, CodebookSet, SuperConstellation, enumerate_superimposed
@@ -27,28 +32,81 @@ _PAIR_CHUNK = 500_000
 
 
 @dataclass(frozen=True)
-class StackedVector:
-    """Stacked constellation entries plus the linear map to superimposed points.
+class ResourceStructure:
+    """Static structure of one resource: its value combinations and pair indices.
 
-    L concatenates vec(C_1), ..., vec(C_J) (row-major N x M blocks).
-    coefficient_map is a sparse (P*K) x (N*M*J) matrix A with gains as
-    coefficients, so A @ L reshaped to (P, K) reproduces the superimposed
-    constellation exactly.
+    The d users on the resource (ascending user order) combine into Q = M^d
+    distinct resource values; combination q has user u on symbol digit u of q
+    in mixed radix (first user most significant, as in the decoder's tables).
+    cols[q, u] indexes L at that user's entry, gains[u] is the user's channel
+    gain here, point_combo[i] the combination of superimposed point i, and
+    pair_flat[p] = a(i) * Q + a(j) for the p-th unordered pair i < j in
+    np.triu_indices order, stored in the smallest unsigned dtype.
+    """
+
+    cols: np.ndarray
+    gains: np.ndarray
+    point_combo: np.ndarray
+    pair_flat: np.ndarray
+
+    def values(self, L: np.ndarray) -> np.ndarray:
+        """The Q resource values, summed in user order."""
+        v = np.zeros(len(self.cols))
+        for u, gain in enumerate(self.gains):
+            v += gain * L[self.cols[:, u]]
+        return v
+
+
+@dataclass(frozen=True)
+class StackedVector:
+    """Stacked constellation entries plus the per-resource structure of the points.
+
+    L concatenates vec(C_1), ..., vec(C_J) (row-major N x M blocks). The
+    rotated distance of a pair is a sum over resources of a term that depends
+    only on the two points' values there, so all pair distances are gathered
+    from one small Q x Q table per resource. The distances of the last
+    varsigma2 asked for are cached on the instance; L must therefore not be
+    changed in place (use replace, which starts with an empty cache).
     """
 
     L: np.ndarray
-    coefficient_map: sp.csr_matrix
+    resources: tuple[ResourceStructure, ...]
     n_points: int
     K: int
+    _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def points(self) -> np.ndarray:
-        return (self.coefficient_map @ self.L).reshape(self.n_points, self.K)
+        return np.column_stack(
+            [r.values(self.L)[r.point_combo] for r in self.resources]
+        )
 
     def replace(self, L: np.ndarray) -> "StackedVector":
         return StackedVector(
-            L=L, coefficient_map=self.coefficient_map,
-            n_points=self.n_points, K=self.K,
+            L=L, resources=self.resources, n_points=self.n_points, K=self.K
         )
+
+    def distances(self, varsigma2: float) -> np.ndarray:
+        """Read-only rotated distances of all unordered point pairs (triu order).
+
+        Terms are added in resource order, which reproduces the row sums of
+        the pairwise computation bit for bit.
+        """
+        d = self._distances.get(varsigma2)
+        if d is None:
+            for r in self.resources:
+                v = r.values(self.L)
+                g = varsigma2 * v + 1.0
+                diff = v[:, None] - v[None, :]
+                table = diff * diff / np.sqrt(g[:, None] * g[None, :])
+                term = np.take(table, r.pair_flat)
+                if d is None:
+                    d = term
+                else:
+                    d += term
+            d.flags.writeable = False
+            self._distances.clear()
+            self._distances[varsigma2] = d
+        return d
 
 
 @dataclass(frozen=True)
@@ -70,31 +128,39 @@ class EpdEllipse:
 
 
 def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
-    """Build the StackedVector of a codebook set (L entries and coefficient map)."""
+    """Build the StackedVector of a codebook set (L entries and resource structure)."""
     p = cb_set.params
-    constellation = enumerate_superimposed(cb_set)
+    tuples = enumerate_superimposed(cb_set).index_tuples - 1
     L = np.concatenate([b.C.reshape(-1) for b in cb_set.books])
-    A = coefficient_map(cb_set, constellation.index_tuples)
-    return StackedVector(L=L, coefficient_map=A, n_points=len(constellation.points), K=p.K)
+    resources = []
+    for k in range(p.K):
+        users = np.flatnonzero(cb_set.graph.F[k])
+        combos = np.array(list(product(range(p.M), repeat=len(users))), dtype=np.int64)
+        combos = combos.reshape(p.M ** len(users), len(users))
+        rows = [cb_set.graph.vn_neighbors[j].index(k + 1) for j in users]
+        offsets = np.array([(j * p.N + n) * p.M for j, n in zip(users, rows)], dtype=np.int64)
+        point_combo = np.zeros(len(tuples), dtype=np.int64)
+        for j in users:
+            point_combo = point_combo * p.M + tuples[:, j]
+        resources.append(ResourceStructure(
+            cols=offsets + combos,
+            gains=np.array([cb_set.gains[j][k] for j in users]),
+            point_combo=point_combo,
+            pair_flat=_pair_flat(point_combo, len(combos)),
+        ))
+    return StackedVector(L=L, resources=tuple(resources), n_points=len(tuples), K=p.K)
 
 
-def coefficient_map(cb_set: CodebookSet, index_tuples: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from stacked constellation entries to flattened superimposed points."""
-    p = cb_set.params
-    total = index_tuples.shape[0]
-    rows, cols, data = [], [], []
-    for j in range(p.J):
-        offset = j * p.N * p.M
-        support = np.flatnonzero(cb_set.graph.F[:, j])
-        for n, k in enumerate(support):
-            rows.append(np.arange(total) * p.K + k)
-            cols.append(offset + n * p.M + (index_tuples[:, j] - 1))
-            data.append(np.full(total, cb_set.gains[j][k]))
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total * p.K, p.N * p.M * p.J),
-    )
-    return A.tocsr()
+def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
+    """a[i] * Q + a[j] over all pairs i < j, row by row (no P^2 index arrays)."""
+    P = len(a)
+    out = np.empty(P * (P - 1) // 2, dtype=np.min_scalar_type(Q * Q - 1))
+    lo = 0
+    for i in range(P - 1):
+        hi = lo + P - 1 - i
+        out[lo:hi] = a[i] * Q + a[i + 1:]
+        lo = hi
+    return out
 
 
 def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
@@ -158,16 +224,11 @@ def _check_stacked(L: StackedVector, beta: float):
         raise DomainError("stacked constellation entries must be nonnegative")
 
 
-def _all_pair_distances(points: np.ndarray, varsigma2: float) -> np.ndarray:
-    """Distances of all unordered pairs, computed in memory-bounded chunks."""
-    P = len(points)
-    ii, jj = np.triu_indices(P, k=1)
-    n_pairs = len(ii)
-    d = np.empty(n_pairs)
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        d[lo:hi] = _pair_distances(points, varsigma2, ii[lo:hi], jj[lo:hi])
-    return d
+def _shifted_exp(d: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta * (d - min d)) in a single new array."""
+    e = d - d.min()
+    e *= -beta
+    return np.exp(e, out=e)
 
 
 def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> float:
@@ -177,41 +238,38 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
     by the minimum distance before summation so beta * d overflow cannot occur.
     """
     _check_stacked(L, beta)
-    d = _all_pair_distances(L.points(), varsigma2)
-    d_min = d.min()
-    return float(np.log(np.sum(np.exp(-beta * (d - d_min)))) / beta - d_min)
+    d = L.distances(varsigma2)
+    return float(np.log(np.sum(_shifted_exp(d, beta))) / beta - d.min())
 
 
 def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.ndarray:
     """Analytic gradient of logsumexp_objective with respect to the entries of L.
 
-    Softmin pair weights are chained through the per-point distance derivative
-    and the linear coefficient map.
+    The softmin pair weights are binned onto each resource's Q x Q table,
+    chained through the table's derivative in the resource values, and the
+    value gradients are binned onto the entries of L.
     """
     _check_stacked(L, beta)
-    points = L.points()
-    P, K = L.n_points, L.K
-    ii, jj = np.triu_indices(P, k=1)
-    n_pairs = len(ii)
-    g = varsigma2 * points + 1.0
-
-    d = _all_pair_distances(points, varsigma2)
-    w = np.exp(-beta * (d - d.min()))
+    w = _shifted_exp(L.distances(varsigma2), beta)
     w /= w.sum()
 
-    grad_s = np.zeros((P, K))
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        ic, jc, wc = ii[lo:hi], jj[lo:hi], w[lo:hi, None]
-        diff = points[ic] - points[jc]
-        gi, gj = g[ic], g[jc]
-        root = np.sqrt(gi * gj)
-        # d(d_ij)/ds_i^k and /ds_j^k of the rotated distance.
-        ddi = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (gi * root)
-        ddj = -2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (gj * root)
-        np.add.at(grad_s, ic, -wc * ddi)
-        np.add.at(grad_s, jc, -wc * ddj)
-    return np.asarray(L.coefficient_map.T @ grad_s.reshape(-1)).reshape(-1)
+    cols, weights = [], []
+    for r in L.resources:
+        Q = len(r.cols)
+        W = np.bincount(r.pair_flat, weights=w, minlength=Q * Q).reshape(Q, Q)
+        v = r.values(L.L)
+        g = varsigma2 * v + 1.0
+        diff = v[:, None] - v[None, :]
+        root = np.sqrt(g[:, None] * g[None, :])
+        # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
+        # weights of the pairs where it is the first or the second point.
+        dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, None] * root)
+        dv = -np.sum((W + W.T) * dt, axis=1)
+        cols.append(r.cols.ravel())
+        weights.append((dv[:, None] * r.gains).ravel())
+    return np.bincount(
+        np.concatenate(cols), weights=np.concatenate(weights), minlength=L.L.size
+    )
 
 
 def epd_ellipses(

@@ -9,7 +9,7 @@ from scma_vlc import (
     project_feasible,
     random_init,
 )
-from scma_vlc.designer import inner_solve
+from scma_vlc.designer import _pgd_step, inner_solve
 from scma_vlc.metrics import logsumexp_objective, stack_codebook_set
 
 PARAMS = SystemParams(J=3, sigma2=0.01, varsigma2=5.0, Pe=30.0)
@@ -175,3 +175,25 @@ class TestDesign:
     def test_wall_time_positive(self):
         r = design(PARAMS, FAST)
         assert r.wall_time > 0
+
+
+class TestStepUnderflow:
+    def test_zero_step_rejects(self):
+        x = random_init(PARAMS, 0, 0.01, template())
+        # An entry below the floor: the projection alone moves the point.
+        L = x.L.copy()
+        L[0] = 0.0
+        x = x.replace(L)
+        f = logsumexp_objective(x, 10.0, PARAMS.varsigma2)
+        out, f_out, step, accepted = _pgd_step(x, f, 0.0, 10.0, PARAMS, FAST)
+        assert out is x and f_out == f and step == 0.0 and not accepted
+
+    def test_long_schedule_does_not_divide_by_zero(self):
+        # The Armijo step halves to 0.0 along this schedule while the
+        # projection still moves the point.
+        r = design(
+            SystemParams(J=4, varsigma2=1.0, Pe=9.5),
+            DesignConfig(beta_schedule=tuple(np.linspace(1, 30, 200)),
+                         max_inner_iters=0, starts=1, seed=108),
+        )
+        assert np.isfinite(r.final_d_min)

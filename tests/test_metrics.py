@@ -12,7 +12,7 @@ from scma_vlc import (
     stack_codebook_set,
 )
 from scma_vlc.errors import CapacityError, DomainError, UnsupportedError
-from scma_vlc.metrics import CHI2_2_Q95
+from scma_vlc.metrics import _PAIR_CHUNK, CHI2_2_Q95, _pair_distances
 
 from conftest import random_codebook_set
 
@@ -144,6 +144,97 @@ class TestLogsumexpGradient:
         g = logsumexp_gradient(sv, 10.0, 5.0)
         assert g.shape == sv.L.shape
         assert np.all(np.isfinite(g))
+
+
+def _old_objective(points, beta, varsigma2):
+    """The pairwise objective formula over np.triu_indices pairs."""
+    ii, jj = np.triu_indices(len(points), k=1)
+    d = _pair_distances(points, varsigma2, ii, jj)
+    d_min = d.min()
+    return float(np.log(np.sum(np.exp(-beta * (d - d_min)))) / beta - d_min)
+
+
+def _old_gradient(cb_set, beta, varsigma2):
+    """The pairwise gradient: per-point derivatives chained onto L entry by entry."""
+    p = cb_set.params
+    c = enumerate_superimposed(cb_set)
+    points = c.points
+    ii, jj = np.triu_indices(len(points), k=1)
+    d = _pair_distances(points, varsigma2, ii, jj)
+    w = np.exp(-beta * (d - d.min()))
+    w /= w.sum()
+    g = varsigma2 * points + 1.0
+    diff = points[ii] - points[jj]
+    gi, gj = g[ii], g[jj]
+    root = np.sqrt(gi * gj)
+    ddi = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (gi * root)
+    ddj = -2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (gj * root)
+    grad_s = np.zeros_like(points)
+    np.add.at(grad_s, ii, -w[:, None] * ddi)
+    np.add.at(grad_s, jj, -w[:, None] * ddj)
+    grad = np.zeros(p.J * p.N * p.M)
+    for j in range(p.J):
+        for n, k in enumerate(np.flatnonzero(cb_set.graph.F[:, j])):
+            cols = j * p.N * p.M + n * p.M + c.index_tuples[:, j] - 1
+            np.add.at(grad, cols, cb_set.gains[j][k] * grad_s[:, k])
+    return grad
+
+
+class TestStructuralKernel:
+    @pytest.mark.parametrize("name", ["dr-j3", "ls-j3", "ls-j4", "ls-j5", "ls-j6"])
+    def test_distances_bitwise_equal_pairwise(self, name):
+        cb = load_fixture(name)
+        sv = stack_codebook_set(cb)
+        points = enumerate_superimposed(cb).points
+        ii, jj = np.triu_indices(len(points), k=1)
+        for varsigma2 in (0.0, 1.0, 5.0):
+            d = sv.distances(varsigma2)
+            assert d.shape == ii.shape
+            for lo in range(0, len(ii), _PAIR_CHUNK):
+                hi = lo + _PAIR_CHUNK
+                ref = _pair_distances(points, varsigma2, ii[lo:hi], jj[lo:hi])
+                np.testing.assert_array_equal(d[lo:hi], ref)
+
+    @pytest.mark.parametrize("name", ["dr-j3", "ls-j3", "ls-j4", "ls-j5"])
+    def test_objective_bitwise_equal_pairwise(self, name):
+        cb = load_fixture(name)
+        sv = stack_codebook_set(cb)
+        points = enumerate_superimposed(cb).points
+        for beta in (1.0, 10.0, 30.0):
+            for varsigma2 in (0.0, 5.0):
+                assert logsumexp_objective(sv, beta, varsigma2) == _old_objective(
+                    points, beta, varsigma2
+                )
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5"])
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 30.0])
+    def test_gradient_matches_pairwise(self, name, beta):
+        cb = load_fixture(name)
+        g = logsumexp_gradient(stack_codebook_set(cb), beta, 5.0)
+        ref = _old_gradient(cb, beta, 5.0)
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_pair_indices_use_small_dtype(self):
+        sv = stack_codebook_set(load_fixture("ls-j4"))
+        assert all(r.pair_flat.dtype == np.uint8 for r in sv.resources)
+
+    def test_cached_distances_are_read_only(self, ls_j3):
+        d = stack_codebook_set(ls_j3).distances(5.0)
+        with pytest.raises(ValueError):
+            d[0] = 0.0
+
+    def test_cache_does_not_go_stale(self):
+        cb = random_codebook_set(4, seed=5)
+        sv = stack_codebook_set(cb)
+        L2 = sv.L * np.linspace(0.5, 1.0, sv.L.size)
+        logsumexp_objective(sv, 10.0, 5.0)
+        via_cached = logsumexp_gradient(sv.replace(L2), 10.0, 5.0)
+        fresh = logsumexp_gradient(stack_codebook_set(cb).replace(L2.copy()), 10.0, 5.0)
+        np.testing.assert_array_equal(via_cached, fresh)
+        # A second varsigma2 on the same point is computed, not served stale.
+        assert logsumexp_objective(sv, 10.0, 1.0) == _old_objective(
+            enumerate_superimposed(cb).points, 10.0, 1.0
+        )
 
 
 class TestEpdEllipses:
