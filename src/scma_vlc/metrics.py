@@ -56,6 +56,17 @@ class ResourceStructure:
             v += gain * L[self.cols[:, u]]
         return v
 
+    def table_parts(self, L: np.ndarray, varsigma2: float):
+        """(diff, g, root) of the Q x Q distance table diff^2 / root.
+
+        diff[a, b] = v_a - v_b, g = varsigma2 * v + 1 and root[a, b] =
+        sqrt(g_a * g_b), the operands of the pairwise rotated distance.
+        """
+        v = self.values(L)
+        g = varsigma2 * v + 1.0
+        diff = v[:, None] - v[None, :]
+        return diff, g, np.sqrt(g[:, None] * g[None, :])
+
 
 @dataclass(frozen=True)
 class StackedVector:
@@ -94,11 +105,8 @@ class StackedVector:
         d = self._distances.get(varsigma2)
         if d is None:
             for r in self.resources:
-                v = r.values(self.L)
-                g = varsigma2 * v + 1.0
-                diff = v[:, None] - v[None, :]
-                table = diff * diff / np.sqrt(g[:, None] * g[None, :])
-                term = np.take(table, r.pair_flat)
+                diff, _, root = r.table_parts(self.L, varsigma2)
+                term = np.take(diff * diff / root, r.pair_flat)
                 if d is None:
                     d = term
                 else:
@@ -257,10 +265,7 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     for r in L.resources:
         Q = len(r.cols)
         W = np.bincount(r.pair_flat, weights=w, minlength=Q * Q).reshape(Q, Q)
-        v = r.values(L.L)
-        g = varsigma2 * v + 1.0
-        diff = v[:, None] - v[None, :]
-        root = np.sqrt(g[:, None] * g[None, :])
+        diff, g, root = r.table_parts(L.L, varsigma2)
         # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
         # weights of the pairs where it is the first or the second point.
         dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, None] * root)
