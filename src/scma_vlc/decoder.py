@@ -1,20 +1,23 @@
 """Multi-user detection on the SCMA factor graph.
 
-Max-Log message passing with input-dependent per-resource noise variance,
-a linear-domain sum-product variant and a brute-force joint MAP oracle.
-The core routines operate on batches of received vectors (axis 0 = frame);
-the public single-vector functions wrap a batch of one.
+One batched log-domain message-passing kernel serves both detectors, with
+input-dependent per-resource noise variance: Max-Log (the marginalizer is
+``max``) and sum-product (a max-shifted log-sum-exp). A brute-force joint MAP
+oracle sits beside them. Inside the kernel the frame axis is last: each
+resource's channel metric is one contiguous (M,)*d + (T,) array, messages are
+(M, T) arrays indexed by edge, and a message meets its axis of the metric by
+reshape. The public batch function takes frames on axis 0; the single-vector
+functions wrap a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .errors import UnderflowError as BeliefUnderflowError
 from .model import DEFAULT_MAX_POINTS, CodebookSet, enumerate_superimposed
 
 DEFAULT_ITERS = 6
@@ -35,7 +38,8 @@ class DecoderState:
     """Messages, beliefs and decisions for one received vector.
 
     Message tables are keyed by (k, j) with 1-based resource/user indices and
-    exist exactly for the edges of the factor graph.
+    exist exactly for the edges of the factor graph. Messages and beliefs are
+    in the log domain.
     """
 
     rn_to_vn: dict[tuple[int, int], np.ndarray]
@@ -51,24 +55,27 @@ class _Tables:
     """Precomputed per-resource combination tables for one codebook set."""
 
     params: object
-    edges: list[tuple[int, int]]          # (k, j) 0-based
-    neighbors: list[list[int]]            # per RN, 0-based users
-    vn_resources: list[list[int]]         # per VN, 0-based resources
-    combos: list[np.ndarray]              # per RN, (M^d, d) symbol indices (0-based)
+    edges: list[tuple[int, int]]          # (k, j) 0-based, by resource then neighbour position
+    rn_edges: list[list[int]]             # per RN, edge ids in neighbour-position order
+    vn_edges: list[list[int]]             # per VN, edge ids in resource order
     combo_sum: list[np.ndarray]           # per RN, (M^d,) superimposed intensity
     rho2: list[np.ndarray]                # per RN, (M^d,)
     bit_masks: np.ndarray                 # (b, M) bit value of each symbol
-    counts: OpCounts | None = None
 
 
 def _build_tables(cb_set: CodebookSet) -> _Tables:
     p = cb_set.params
     neighbors = [[j - 1 for j in ns] for ns in cb_set.graph.rn_neighbors]
-    vn_resources = [[k - 1 for k in ks] for ks in cb_set.graph.vn_neighbors]
     edges = [(k, j) for k in range(p.K) for j in neighbors[k]]
-    combos, sums, rho2 = [], [], []
+    edge_id = {e: i for i, e in enumerate(edges)}
+    rn_edges = [[edge_id[(k, j)] for j in js] for k, js in enumerate(neighbors)]
+    vn_edges = [[edge_id[(k - 1, j)] for k in ks]
+                for j, ks in enumerate(cb_set.graph.vn_neighbors)]
+    sums, rho2 = [], []
     for k in range(p.K):
         js = neighbors[k]
+        # Mixed-radix combos: the symbol at neighbour position 0 varies slowest,
+        # so (M^d,) reshapes to (M,)*d with one axis per neighbour position.
         combo = np.array(list(product(range(p.M), repeat=len(js))), dtype=np.int64)
         combo = combo.reshape(p.M ** len(js), len(js))
         total = np.zeros(len(combo))
@@ -76,7 +83,6 @@ def _build_tables(cb_set: CodebookSet) -> _Tables:
             n = cb_set.graph.vn_neighbors[j].index(k + 1)  # row of C_j on resource k
             vals = cb_set.gains[j][k] * cb_set.books[j].C[n, :]
             total += vals[combo[:, pos]]
-        combos.append(combo)
         sums.append(total)
         r2 = p.sigma2 + p.varsigma2 * p.sigma2 * total
         if np.any(r2 <= 0):
@@ -87,35 +93,152 @@ def _build_tables(cb_set: CodebookSet) -> _Tables:
         [[(m >> (b - 1 - i)) & 1 for m in range(p.M)] for i in range(b)], dtype=np.uint8
     )
     return _Tables(
-        params=p, edges=edges, neighbors=neighbors, vn_resources=vn_resources,
-        combos=combos, combo_sum=sums, rho2=rho2, bit_masks=masks,
+        params=p, edges=edges, rn_edges=rn_edges, vn_edges=vn_edges,
+        combo_sum=sums, rho2=rho2, bit_masks=masks,
     )
+
+
+def _received(Y, p) -> np.ndarray:
+    """Received vectors as a (T, K) float array; rejects wrong length and non-finite entries."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[1] != p.K:
+        raise DimensionError(f"received vectors must have length K={p.K}")
+    if not np.isfinite(Y).all():
+        raise DomainError("received vectors must be finite (no NaN or inf)")
+    return Y
 
 
 def _rn_metrics(Y: np.ndarray, tables: _Tables, include_logdet: bool,
                 force_awgn: bool = False) -> list[np.ndarray]:
-    """Per-RN channel metric (T, M^d): Gaussian log-likelihood of y_k per combo."""
+    """Per-RN channel metric (M,)*d + (T,): Gaussian log-likelihood of y_k per combo."""
     p = tables.params
+    T = Y.shape[0]
+    Yt = np.ascontiguousarray(Y.T)
     metrics = []
-    for k in range(p.K):
+    for k, es in enumerate(tables.rn_edges):
         rho2 = np.full_like(tables.rho2[k], p.sigma2) if force_awgn else tables.rho2[k]
-        m = -((Y[:, k, None] - tables.combo_sum[k][None, :]) ** 2) / (2.0 * rho2[None, :])
+        # -((y - s)^2) / (2 rho2) [- 0.5 ln(2 pi rho2)], in place in one array.
+        m = Yt[None, k] - tables.combo_sum[k][:, None]
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        m /= 2.0 * rho2[:, None]
         if include_logdet:
-            m = m - 0.5 * np.log(2.0 * np.pi * rho2)[None, :]
-        metrics.append(m)
+            m -= 0.5 * np.log(2.0 * np.pi * rho2)[:, None]
+        metrics.append(m.reshape((p.M,) * len(es) + (T,)))
     return metrics
 
 
-def _llrs_from_beliefs(beliefs: np.ndarray, bit_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit LLR = max belief over bit-0 symbols minus max over bit-1 symbols."""
-    T, J, M = beliefs.shape
-    b = bit_masks.shape[0]
-    llrs = np.empty((T, J, b))
-    for i in range(b):
-        zero = bit_masks[i] == 0
-        llrs[:, :, i] = beliefs[:, :, zero].max(axis=2) - beliefs[:, :, ~zero].max(axis=2)
-    hard = (llrs <= 0).astype(np.uint8)  # LLR tie decides bit 1
-    return llrs, hard
+def _logsumexp_marginal(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Sum-product marginalizer: max-shifted log-sum-exp over axes. Overwrites x.
+
+    The (M, T) result is shifted so that each frame's largest entry is 0;
+    without it, log messages on a loopy graph grow with every iteration and
+    lose absolute precision.
+    """
+    peak = x.max(axis=axes, keepdims=True)
+    np.subtract(x, peak, out=x)
+    np.exp(x, out=x)
+    out = np.log(x.sum(axis=axes)) + np.squeeze(peak, axis=axes)
+    return out - out.max(axis=0)
+
+
+def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
+                   force_awgn=False, early_exit=True, counts=None):
+    """Run n_iters flooding iterations on (T, K) received vectors, frames last.
+
+    marginalize(x, axes) reduces an extrinsic tensor over the axes of the
+    other neighbours and may overwrite x: np.max for Max-Log,
+    _logsumexp_marginal for sum-product. Returns beliefs (J, M, T) and the
+    RN->VN and VN->RN messages (E, M, T), edge e being tables.edges[e].
+    Terms are added in ascending neighbour position, so with the max
+    marginalizer the arithmetic is that of the per-edge gather formulation,
+    bit for bit. The fixpoint early exit stops once no message moves by
+    _FIXPOINT_TOL.
+    """
+    p = tables.params
+    M, T = p.M, Y.shape[0]
+    metrics = _rn_metrics(Y, tables, include_logdet, force_awgn=force_awgn)
+    # Two scratch tensors per metric shape: the extrinsic sum and a prefix.
+    scratch = {m.shape: (np.empty(m.shape), np.empty(m.shape))
+               for m in metrics if m.ndim > 2}
+    log_prior = -np.log(M)
+    vn = np.full((len(tables.edges), M, T), log_prior)
+    rn = np.zeros((len(tables.edges), M, T))
+    # Each resource's VN messages as views shaped onto their metric axes; vn is
+    # updated in place, so the views stay current.
+    axis_views = [
+        [vn[r].reshape((1,) * pos + (M,) + (1,) * (len(es) - 1 - pos) + (T,))
+         for pos, r in enumerate(es)]
+        for es in tables.rn_edges
+    ]
+
+    for _ in range(n_iters):
+        delta = 0.0
+        # RN updates from current VN messages. The extrinsic sum for position
+        # pos_j is metric + v_0 + ... + v_{d-1} without v_{pos_j}; its terms
+        # before pos_j form a prefix shared with the later positions.
+        for k, es in enumerate(tables.rn_edges):
+            d = len(es)
+            views = axis_views[k]
+            prefix = metric = metrics[k]
+            if d > 1:
+                ext_buf, prefix_buf = scratch[metric.shape]
+            for pos_j, e in enumerate(es):
+                ext = prefix
+                for v in views[pos_j + 1:]:
+                    ext = np.add(ext, v, out=ext_buf)
+                # For d > 1, ext is a scratch tensor the marginalizer may
+                # overwrite: the prefix itself only at the last position.
+                axes = tuple(a for a in range(d) if a != pos_j)
+                new = marginalize(ext, axes) if d > 1 else metric
+                if pos_j < d - 1:
+                    prefix = np.add(prefix, views[pos_j], out=prefix_buf)
+                if counts is not None:
+                    counts.comparison += M**d
+                    counts.multiplication += 4 * M**d
+                    counts.addition += (3 * d + 1) * M**d * d
+                # Once delta reaches the tolerance this iteration is no
+                # fixpoint, so the remaining edges skip the check.
+                if early_exit and delta < _FIXPOINT_TOL:
+                    delta = max(delta, float(np.abs(new - rn[e]).max()))
+                rn[e] = new
+        # VN updates from the just-computed RN messages.
+        for es in tables.vn_edges:
+            for e in es:
+                msg = np.full((M, T), log_prior)
+                for r in es:
+                    if r != e:
+                        msg += rn[r]
+                if early_exit and delta < _FIXPOINT_TOL:
+                    delta = max(delta, float(np.abs(msg - vn[e]).max()))
+                vn[e] = msg
+        if early_exit and delta < _FIXPOINT_TOL:
+            break
+
+    beliefs = np.full((p.J, M, T), log_prior)
+    for j, es in enumerate(tables.vn_edges):
+        for e in es:
+            beliefs[j] += rn[e]
+    return beliefs, rn, vn
+
+
+def _outputs(beliefs, rn, vn, tables):
+    """Frames-first (beliefs, llrs, hard bits, messages) from the kernel's arrays.
+
+    LLR = max belief over bit-0 symbols minus max over bit-1 symbols; an LLR
+    tie decides bit 1. Messages are returned as (k, j) -> (T, M) views.
+    """
+    J, _, T = beliefs.shape
+    llrs = np.empty((T, J, len(tables.bit_masks)))
+    for i, mask in enumerate(tables.bit_masks):
+        zero = mask == 0
+        llrs[:, :, i] = (beliefs[:, zero].max(axis=1) - beliefs[:, ~zero].max(axis=1)).T
+    hard = (llrs <= 0).astype(np.uint8)
+    messages = (
+        {edge: rn[e].T for e, edge in enumerate(tables.edges)},
+        {edge: vn[e].T for e, edge in enumerate(tables.edges)},
+    )
+    return np.ascontiguousarray(beliefs.transpose(2, 0, 1)), llrs, hard, messages
 
 
 def max_log_mpa_batch(
@@ -132,64 +255,20 @@ def max_log_mpa_batch(
 
     Returns (beliefs (T,J,M), llrs (T,J,b), hard bits (T,J,b), messages,
     OpCounts or None). Counting disables the fixpoint early exit so counters
-    reflect exactly n_iters iterations.
+    reflect exactly n_iters iterations. Raises DomainError on NaN or inf in Y.
     """
     p = cb_set.params
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[1] != p.K:
-        raise DimensionError(f"received vectors must have length K={p.K}")
+    Y = _received(Y, p)
     if n_iters < 1:
         raise DomainError("n_iters must be >= 1")
     if tables is None:
         tables = _build_tables(cb_set)
-    T = Y.shape[0]
-    metrics = _rn_metrics(Y, tables, include_logdet, force_awgn=force_awgn)
     counts = OpCounts() if count_ops else None
-
-    log_prior = -np.log(p.M)
-    vn = {e: np.full((T, p.M), log_prior) for e in tables.edges}
-    rn = {e: np.zeros((T, p.M)) for e in tables.edges}
-
-    for _ in range(n_iters):
-        delta = 0.0
-        # RN updates from current VN messages.
-        for k, j in tables.edges:
-            js = tables.neighbors[k]
-            combo = tables.combos[k]
-            pos_j = js.index(j)
-            ext = metrics[k].copy()
-            for pos, r in enumerate(js):
-                if r != j:
-                    ext += vn[(k, r)][:, combo[:, pos]]
-            shaped = ext.reshape(T, *([p.M] * len(js)))
-            axes = tuple(a + 1 for a in range(len(js)) if a != pos_j)
-            new = shaped.max(axis=axes) if axes else shaped
-            if counts is not None:
-                d = len(js)
-                counts.comparison += p.M**d
-                counts.multiplication += 4 * p.M**d
-                counts.addition += (3 * d + 1) * p.M**d * d
-            delta = max(delta, float(np.abs(new - rn[(k, j)]).max()))
-            rn[(k, j)] = new
-        # VN updates from the just-computed RN messages.
-        for j in range(p.J):
-            ks = tables.vn_resources[j]
-            for k in ks:
-                msg = np.full((T, p.M), log_prior)
-                for d in ks:
-                    if d != k:
-                        msg += rn[(d, j)]
-                delta = max(delta, float(np.abs(msg - vn[(k, j)]).max()))
-                vn[(k, j)] = msg
-        if early_exit and counts is None and delta < _FIXPOINT_TOL:
-            break
-
-    beliefs = np.full((T, p.J, p.M), log_prior)
-    for j in range(p.J):
-        for k in tables.vn_resources[j]:
-            beliefs[:, j, :] += rn[(k, j)]
-    llrs, hard = _llrs_from_beliefs(beliefs, tables.bit_masks)
-    return beliefs, llrs, hard, (rn, vn), counts
+    beliefs, rn, vn = _pass_messages(
+        Y, tables, n_iters, np.max, include_logdet=include_logdet,
+        force_awgn=force_awgn, early_exit=early_exit and counts is None, counts=counts,
+    )
+    return (*_outputs(beliefs, rn, vn, tables), counts)
 
 
 def _single_state(beliefs, llrs, hard, messages, counts) -> DecoderState:
@@ -232,67 +311,26 @@ def mpa_linear(
     cb_set: CodebookSet,
     n_iters: int = DEFAULT_ITERS,
 ) -> DecoderState:
-    """Linear-domain sum-product decoding with the full IDGN Gaussian likelihood.
+    """Sum-product decoding with the full IDGN Gaussian likelihood.
 
-    Channel factors are max-shifted per resource before exponentiation and
-    every message is renormalized, so underflow only occurs if a belief sum
-    is exactly zero.
+    Runs the shared log-domain kernel with the log-sum-exp marginalizer for
+    exactly n_iters iterations (0 leaves the beliefs uniform); the beliefs are
+    normalized log posteriors, so no belief can underflow to all-zero.
+    Despite the name, it runs in the log domain.
     """
     p = cb_set.params
-    Y = np.atleast_2d(np.asarray(y, dtype=float))
-    if Y.shape[1] != p.K:
-        raise DimensionError(f"received vectors must have length K={p.K}")
+    Y = _received(y, p)
     if n_iters < 0:
         raise DomainError("n_iters must be >= 0")
     tables = _build_tables(cb_set)
-    T = Y.shape[0]
-    log_metrics = _rn_metrics(Y, tables, include_logdet=True)
-    # Max-shift per (frame, RN) keeps the largest factor at 1.
-    phis = [np.exp(m - m.max(axis=1, keepdims=True)) for m in log_metrics]
-
-    vn = {e: np.full((T, p.M), 1.0 / p.M) for e in tables.edges}
-    rn = {e: np.full((T, p.M), 1.0 / p.M) for e in tables.edges}
-
-    for _ in range(n_iters):
-        for k, j in tables.edges:
-            js = tables.neighbors[k]
-            combo = tables.combos[k]
-            pos_j = js.index(j)
-            term = phis[k].copy()
-            for pos, r in enumerate(js):
-                if r != j:
-                    term *= vn[(k, r)][:, combo[:, pos]]
-            shaped = term.reshape(T, *([p.M] * len(js)))
-            axes = tuple(a + 1 for a in range(len(js)) if a != pos_j)
-            new = shaped.sum(axis=axes) if axes else shaped
-            norm = new.sum(axis=1, keepdims=True)
-            if np.any(norm == 0):
-                raise BeliefUnderflowError("all RN message mass vanished")
-            rn[(k, j)] = new / norm
-        for j in range(p.J):
-            ks = tables.vn_resources[j]
-            for k in ks:
-                msg = np.full((T, p.M), 1.0 / p.M)
-                for d in ks:
-                    if d != k:
-                        msg *= rn[(d, j)]
-                norm = msg.sum(axis=1, keepdims=True)
-                if np.any(norm == 0):
-                    raise BeliefUnderflowError("all VN message mass vanished")
-                vn[(k, j)] = msg / norm
-
-    marg = np.full((T, p.J, p.M), 1.0 / p.M)
-    for j in range(p.J):
-        for k in tables.vn_resources[j]:
-            marg[:, j, :] *= rn[(k, j)]
-    norm = marg.sum(axis=2, keepdims=True)
-    if np.any(norm == 0):
-        raise BeliefUnderflowError("all beliefs vanished")
-    marg = marg / norm
-    with np.errstate(divide="ignore"):
-        beliefs = np.log(marg)
-    llrs, hard = _llrs_from_beliefs(beliefs, tables.bit_masks)
-    return _single_state(beliefs, llrs, hard, (rn, vn), None)
+    beliefs, rn, vn = _pass_messages(
+        Y, tables, n_iters, _logsumexp_marginal, include_logdet=True, early_exit=False,
+    )
+    # Shift before normalizing: the largest belief becomes exactly 0, so the
+    # log-sum-exp of the result is 0 to rounding even for huge |beliefs|.
+    beliefs -= beliefs.max(axis=1, keepdims=True)
+    beliefs -= np.log(np.exp(beliefs).sum(axis=1, keepdims=True))
+    return _single_state(*_outputs(beliefs, rn, vn, tables), None)
 
 
 def loglik_table(Y: np.ndarray, cb_set: CodebookSet,

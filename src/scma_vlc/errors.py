@@ -27,7 +27,3 @@ class ConfigError(ScmaVlcError):
 
 class UnsupportedError(ScmaVlcError):
     """The operation is not defined for this input shape (e.g. ellipses need N=2)."""
-
-
-class UnderflowError(ScmaVlcError):
-    """All beliefs vanished in the linear-domain decoder."""

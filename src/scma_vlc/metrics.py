@@ -30,6 +30,11 @@ DEFAULT_PAIR_BUDGET = comb(4096, 2)
 # Pair blocks processed at a time in large scans (bounds peak memory).
 _PAIR_CHUNK = 500_000
 
+# Pairs per gather and bincount over the static pair indices. numpy widens
+# each index block to intp (8 bytes per pair), so this bounds that temporary;
+# it holds every pair up to J=5 (523,776), splitting only J=6 (8,386,560).
+_GATHER_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class ResourceStructure:
@@ -104,13 +109,21 @@ class StackedVector:
         """
         d = self._distances.get(varsigma2)
         if d is None:
+            tables = []
             for r in self.resources:
                 diff, _, root = r.table_parts(self.L, varsigma2)
-                term = np.take(diff * diff / root, r.pair_flat)
-                if d is None:
-                    d = term
-                else:
-                    d += term
+                tables.append(diff * diff / root)
+            parts = []
+            for lo in range(0, len(self.resources[0].pair_flat), _GATHER_CHUNK):
+                part = None
+                for r, table in zip(self.resources, tables):
+                    term = np.take(table, r.pair_flat[lo:lo + _GATHER_CHUNK])
+                    if part is None:
+                        part = term
+                    else:
+                        part += term
+                parts.append(part)
+            d = parts[0] if len(parts) == 1 else np.concatenate(parts)
             d.flags.writeable = False
             self._distances.clear()
             self._distances[varsigma2] = d
@@ -264,7 +277,12 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     cols, weights = [], []
     for r in L.resources:
         Q = len(r.cols)
-        W = np.bincount(r.pair_flat, weights=w, minlength=Q * Q).reshape(Q, Q)
+        W = np.bincount(r.pair_flat[:_GATHER_CHUNK], weights=w[:_GATHER_CHUNK],
+                        minlength=Q * Q)
+        for lo in range(_GATHER_CHUNK, len(w), _GATHER_CHUNK):
+            hi = lo + _GATHER_CHUNK
+            W += np.bincount(r.pair_flat[lo:hi], weights=w[lo:hi], minlength=Q * Q)
+        W = W.reshape(Q, Q)
         diff, g, root = r.table_parts(L.L, varsigma2)
         # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
         # weights of the pairs where it is the first or the second point.

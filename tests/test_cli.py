@@ -93,6 +93,17 @@ class TestDecodeCommand:
             bits = "".join(row[f"bits_user_{j}"] for j in (1, 2, 3))
             assert bits == "".join(str(b) for b in c.bit_labels[t])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_is_usage_error(self, fixture_file, tmp_path, capsys, bad):
+        inp = tmp_path / "rx.csv"
+        inp.write_text(f"1.0,2.0,0.5,1.5\n1.0,{bad},0.5,1.5\n")
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--cb", str(fixture_file), "--input", str(inp),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_input_or_counts(self, fixture_file):
         with pytest.raises(SystemExit) as e:
             main(["decode", "--cb", str(fixture_file)])

@@ -12,6 +12,8 @@ from scma_vlc import (
     mpa_linear,
     op_counts,
     scale_codebook_set,
+    simulate_ber,
+    simulator,
 )
 from scma_vlc.decoder import loglik_table, max_log_mpa_batch
 from scma_vlc.errors import DimensionError, DomainError
@@ -214,3 +216,224 @@ class TestHeterogeneousDegrees:
         idx = np.arange(0, c.points.shape[0], max(1, c.points.shape[0] // 50))
         _, _, hard, _, _ = max_log_mpa_batch(c.points[idx], cb)
         np.testing.assert_array_equal(hard.reshape(len(idx), -1), c.bit_labels[idx])
+
+
+def _gather_tables(cb_set):
+    """Per-RN tables of the per-edge gather decoder: neighbours, combos, sums, variances."""
+    from itertools import product
+
+    p = cb_set.params
+    neighbors = [[j - 1 for j in ns] for ns in cb_set.graph.rn_neighbors]
+    combos, sums, rho2 = [], [], []
+    for k in range(p.K):
+        js = neighbors[k]
+        combo = np.array(list(product(range(p.M), repeat=len(js))), dtype=np.int64)
+        combo = combo.reshape(p.M ** len(js), len(js))
+        total = np.zeros(len(combo))
+        for pos, j in enumerate(js):
+            n = cb_set.graph.vn_neighbors[j].index(k + 1)
+            total += (cb_set.gains[j][k] * cb_set.books[j].C[n, :])[combo[:, pos]]
+        combos.append(combo)
+        sums.append(total)
+        rho2.append(p.sigma2 + p.varsigma2 * p.sigma2 * total)
+    return neighbors, combos, sums, rho2
+
+
+def _gather_metrics(Y, cb_set, sums, rho2s, include_logdet, force_awgn):
+    p = cb_set.params
+    metrics = []
+    for k in range(p.K):
+        rho2 = np.full_like(rho2s[k], p.sigma2) if force_awgn else rho2s[k]
+        m = -((Y[:, k, None] - sums[k][None, :]) ** 2) / (2.0 * rho2[None, :])
+        if include_logdet:
+            m = m - 0.5 * np.log(2.0 * np.pi * rho2)[None, :]
+        metrics.append(m)
+    return metrics
+
+
+def _gather_llrs(beliefs, M):
+    T, J, _ = beliefs.shape
+    b = M.bit_length() - 1
+    masks = np.array([[(m >> (b - 1 - i)) & 1 for m in range(M)] for i in range(b)])
+    llrs = np.empty((T, J, b))
+    for i in range(b):
+        zero = masks[i] == 0
+        llrs[:, :, i] = beliefs[:, :, zero].max(axis=2) - beliefs[:, :, ~zero].max(axis=2)
+    return llrs, (llrs <= 0).astype(np.uint8)
+
+
+def _gather_max_log(Y, cb_set, n_iters=6, include_logdet=False, early_exit=True,
+                    force_awgn=False):
+    """Reference Max-Log decoder: (k, j) dicts of (T, M) messages, per-edge gathers."""
+    p = cb_set.params
+    neighbors, combos, sums, rho2 = _gather_tables(cb_set)
+    vn_resources = [[k - 1 for k in ks] for ks in cb_set.graph.vn_neighbors]
+    edges = [(k, j) for k in range(p.K) for j in neighbors[k]]
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    T = Y.shape[0]
+    metrics = _gather_metrics(Y, cb_set, sums, rho2, include_logdet, force_awgn)
+    log_prior = -np.log(p.M)
+    vn = {e: np.full((T, p.M), log_prior) for e in edges}
+    rn = {e: np.zeros((T, p.M)) for e in edges}
+    for _ in range(n_iters):
+        delta = 0.0
+        for k, j in edges:
+            js = neighbors[k]
+            pos_j = js.index(j)
+            ext = metrics[k].copy()
+            for pos, r in enumerate(js):
+                if r != j:
+                    ext += vn[(k, r)][:, combos[k][:, pos]]
+            shaped = ext.reshape(T, *([p.M] * len(js)))
+            axes = tuple(a + 1 for a in range(len(js)) if a != pos_j)
+            new = shaped.max(axis=axes) if axes else shaped
+            delta = max(delta, float(np.abs(new - rn[(k, j)]).max()))
+            rn[(k, j)] = new
+        for j in range(p.J):
+            ks = vn_resources[j]
+            for k in ks:
+                msg = np.full((T, p.M), log_prior)
+                for d in ks:
+                    if d != k:
+                        msg += rn[(d, j)]
+                delta = max(delta, float(np.abs(msg - vn[(k, j)]).max()))
+                vn[(k, j)] = msg
+        if early_exit and delta < 1e-12:
+            break
+    beliefs = np.full((T, p.J, p.M), log_prior)
+    for j in range(p.J):
+        for k in vn_resources[j]:
+            beliefs[:, j, :] += rn[(k, j)]
+    llrs, hard = _gather_llrs(beliefs, p.M)
+    return beliefs, llrs, hard, (rn, vn), None
+
+
+def _linear_sum_product(y, cb_set, n_iters=6):
+    """Reference sum-product decoder in the linear domain; returns (J, M) log beliefs."""
+    p = cb_set.params
+    neighbors, combos, sums, rho2 = _gather_tables(cb_set)
+    vn_resources = [[k - 1 for k in ks] for ks in cb_set.graph.vn_neighbors]
+    edges = [(k, j) for k in range(p.K) for j in neighbors[k]]
+    Y = np.atleast_2d(np.asarray(y, dtype=float))
+    T = Y.shape[0]
+    log_metrics = _gather_metrics(Y, cb_set, sums, rho2, True, False)
+    phis = [np.exp(m - m.max(axis=1, keepdims=True)) for m in log_metrics]
+    vn = {e: np.full((T, p.M), 1.0 / p.M) for e in edges}
+    rn = {e: np.full((T, p.M), 1.0 / p.M) for e in edges}
+    for _ in range(n_iters):
+        for k, j in edges:
+            js = neighbors[k]
+            pos_j = js.index(j)
+            term = phis[k].copy()
+            for pos, r in enumerate(js):
+                if r != j:
+                    term *= vn[(k, r)][:, combos[k][:, pos]]
+            shaped = term.reshape(T, *([p.M] * len(js)))
+            axes = tuple(a + 1 for a in range(len(js)) if a != pos_j)
+            new = shaped.sum(axis=axes) if axes else shaped
+            rn[(k, j)] = new / new.sum(axis=1, keepdims=True)
+        for j in range(p.J):
+            ks = vn_resources[j]
+            for k in ks:
+                msg = np.full((T, p.M), 1.0 / p.M)
+                for d in ks:
+                    if d != k:
+                        msg *= rn[(d, j)]
+                vn[(k, j)] = msg / msg.sum(axis=1, keepdims=True)
+    marg = np.full((T, p.J, p.M), 1.0 / p.M)
+    for j in range(p.J):
+        for k in vn_resources[j]:
+            marg[:, j, :] *= rn[(k, j)]
+    with np.errstate(divide="ignore"):
+        return np.log(marg / marg.sum(axis=2, keepdims=True))[0]
+
+
+def _golden_set(name):
+    if name.startswith("random-j"):
+        J = int(name[len("random-j"):])
+        return random_codebook_set(J, seed=J)
+    return load_fixture(name)
+
+
+def _noisy_vectors(cb_set, T, seed):
+    c = enumerate_superimposed(cb_set)
+    rng = np.random.default_rng(seed)
+    Y = c.points[rng.integers(0, len(c.points), size=T)]
+    return Y + 0.3 * rng.standard_normal(Y.shape)
+
+
+class TestGoldenMaxLog:
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5", "ls-j6",
+                                      "random-j1", "random-j2", "random-j5"])
+    def test_bitwise_equal_gather_decoder(self, name):
+        cb = _golden_set(name)
+        c = enumerate_superimposed(cb)
+        Y = np.vstack([_noisy_vectors(cb, 300, seed=11), c.points[:20]])
+        for include_logdet in (False, True):
+            for force_awgn in (False, True):
+                for early_exit in (False, True):
+                    kw = dict(include_logdet=include_logdet, force_awgn=force_awgn,
+                              early_exit=early_exit)
+                    got = max_log_mpa_batch(Y, cb, **kw)
+                    ref = _gather_max_log(Y, cb, **kw)
+                    for i in range(3):  # beliefs, llrs, hard bits
+                        np.testing.assert_array_equal(got[i], ref[i])
+                    for got_msgs, ref_msgs in zip(got[3], ref[3]):
+                        assert set(got_msgs) == set(ref_msgs)
+                        for e in ref_msgs:
+                            np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+    @pytest.mark.parametrize("name,pe,frames", [("ls-j3", 8.0, 20_000), ("ls-j6", 20.0, 6_000)])
+    def test_simulate_ber_identical(self, name, pe, frames, monkeypatch):
+        cb = scale_codebook_set(load_fixture(name), pe)
+        kw = dict(min_bit_errors=None, max_frames=frames, seed=4, compute_analytical=False)
+        got = simulate_ber(cb, **kw)
+        monkeypatch.setattr(simulator, "max_log_mpa_batch",
+                            lambda y, cb_set, n_iters, include_logdet, tables:
+                            _gather_max_log(y, cb_set, n_iters, include_logdet))
+        ref = simulate_ber(cb, **kw)
+        assert got.bit_errors > 0
+        assert (got.pe, got.bits_sent, got.bit_errors, got.ber_sim, got.ci95_halfwidth) == (
+            ref.pe, ref.bits_sent, ref.bit_errors, ref.ber_sim, ref.ci95_halfwidth)
+        np.testing.assert_array_equal(got.per_user_ber, ref.per_user_ber)
+
+
+class TestLogDomainSumProduct:
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5", "ls-j6"])
+    def test_matches_linear_domain_reference(self, name):
+        cb = scale_codebook_set(load_fixture(name), 8.0)
+        p = cb.params
+        c = enumerate_superimposed(cb)
+        rng = np.random.default_rng(21)
+        Y = add_idgn(c.points[rng.integers(0, len(c.points), size=25)],
+                     p.sigma2, p.varsigma2, TrialStream(seed=2), rng=rng)
+        for n_iters in (1, 6, 20):
+            for y in Y:
+                got = mpa_linear(y, cb, n_iters=n_iters)
+                ref = _linear_sum_product(y, cb, n_iters=n_iters)
+                np.testing.assert_allclose(np.exp(got.beliefs), np.exp(ref),
+                                           rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j6"])
+    def test_far_received_vector_keeps_finite_normalized_beliefs(self, name):
+        # Every combination is thousands of noise deviations away, so
+        # linear-domain messages would underflow to all-zero.
+        cb = load_fixture(name)
+        for y in ([1e3] * 4, [-1e3, 1e3, -1e3, 1e3], [1e4, 0.0, 0.0, -1e4]):
+            beliefs = mpa_linear(np.array(y), cb).beliefs
+            assert np.all(np.isfinite(beliefs))
+            peak = beliefs.max(axis=1)
+            lse = peak + np.log(np.exp(beliefs - peak[:, None]).sum(axis=1))
+            np.testing.assert_allclose(lse, 0.0, atol=1e-12)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_rejects(self, ls_j3, bad):
+        y = np.array([1.0, bad, 0.5, 2.0])
+        with pytest.raises(DomainError):
+            max_log_mpa_batch(np.vstack([np.ones(4), y]), ls_j3)
+        with pytest.raises(DomainError):
+            max_log_mpa(y, ls_j3)
+        with pytest.raises(DomainError):
+            mpa_linear(y, ls_j3)

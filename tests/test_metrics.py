@@ -11,6 +11,7 @@ from scma_vlc import (
     red,
     stack_codebook_set,
 )
+from scma_vlc import metrics
 from scma_vlc.errors import CapacityError, DomainError, UnsupportedError
 from scma_vlc.metrics import _PAIR_CHUNK, CHI2_2_Q95, _pair_distances
 
@@ -235,6 +236,17 @@ class TestStructuralKernel:
         assert logsumexp_objective(sv, 10.0, 1.0) == _old_objective(
             enumerate_superimposed(cb).points, 10.0, 1.0
         )
+
+    def test_chunked_gather_matches_single_chunk(self, ls_j3, monkeypatch):
+        single_d = stack_codebook_set(ls_j3).distances(5.0)
+        single_g = logsumexp_gradient(stack_codebook_set(ls_j3), 10.0, 5.0)
+        # 2016 pairs in 21 chunks, the last one partial.
+        monkeypatch.setattr(metrics, "_GATHER_CHUNK", 97)
+        sv = stack_codebook_set(ls_j3)
+        np.testing.assert_array_equal(sv.distances(5.0), single_d)
+        chunked_g = logsumexp_gradient(sv, 10.0, 5.0)
+        np.testing.assert_allclose(chunked_g, single_g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(single_g).max())
 
 
 class TestEpdEllipses:
