@@ -24,6 +24,13 @@ DEFAULT_ITERS = 6
 
 _FIXPOINT_TOL = 1e-12
 
+# Largest y^2 / (2 sigma2) a received value y may give; while |y| dominates
+# the intensities this bounds its channel metric. Max-Log messages are not
+# normalized and grow with every iteration (about twofold at degree 3), so
+# this leaves room for hundreds of iterations before they overflow to inf
+# and the LLRs turn NaN.
+_METRIC_LIMIT = 1e150
+
 
 @dataclass
 class OpCounts:
@@ -99,12 +106,21 @@ def _build_tables(cb_set: CodebookSet) -> _Tables:
 
 
 def _received(Y, p) -> np.ndarray:
-    """Received vectors as a (T, K) float array; rejects wrong length and non-finite entries."""
+    """Received vectors as a (T, K) float array.
+
+    Rejects a wrong length, non-finite entries and entries so large that the
+    messages would overflow (|y| above sqrt(2 sigma2 _METRIC_LIMIT); every
+    per-resource variance is at least sigma2).
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[1] != p.K:
         raise DimensionError(f"received vectors must have length K={p.K}")
-    if not np.isfinite(Y).all():
-        raise DomainError("received vectors must be finite (no NaN or inf)")
+    limit = np.sqrt(2.0 * p.sigma2 * _METRIC_LIMIT)
+    # A NaN maximum fails the comparison too.
+    if Y.size and not np.abs(Y).max() <= limit:
+        raise DomainError(
+            f"received vectors must be finite and at most {limit:.3g} in magnitude"
+        )
     return Y
 
 
@@ -316,9 +332,12 @@ def mpa_linear(
     Runs the shared log-domain kernel with the log-sum-exp marginalizer for
     exactly n_iters iterations (0 leaves the beliefs uniform); the beliefs are
     normalized log posteriors, so no belief can underflow to all-zero.
-    Despite the name, it runs in the log domain.
+    Despite the name, it runs in the log domain. Takes one received vector;
+    a (T, K) batch raises DimensionError.
     """
     p = cb_set.params
+    if np.ndim(y) != 1:
+        raise DimensionError("mpa_linear decodes one received vector of shape (K,)")
     Y = _received(y, p)
     if n_iters < 0:
         raise DomainError("n_iters must be >= 0")
@@ -338,11 +357,12 @@ def loglik_table(Y: np.ndarray, cb_set: CodebookSet,
     """Exact joint Gaussian log-likelihood of each superimposed point, batched.
 
     Returns ((T, M^J) log-likelihoods, the enumerated constellation).
+    Received vectors are checked as for the message-passing decoders.
     """
     p = cb_set.params
     if p.M**p.J > max_points:
         raise CapacityError(f"M^J = {p.M ** p.J} exceeds the limit {max_points}")
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _received(Y, p)
     constellation = enumerate_superimposed(cb_set, max_points=max_points)
     s = constellation.points
     nu = constellation.covariances

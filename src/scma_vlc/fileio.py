@@ -3,7 +3,8 @@
 Layout: one JSON header line, K rows of the 0/1 factor graph, then each
 user's N x M constellation as N whitespace-separated rows. Serialization is
 canonical (shortest round-trip float repr), so saving a loaded file is
-byte-identical.
+byte-identical. The format has no field for channel gains, so a set with
+non-unit gains is refused rather than saved without them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ LABELING = "natural-binary"
 
 def dumps_codebook_set(cb_set: CodebookSet) -> str:
     p = cb_set.params
+    if any(np.any(g != 1.0) for g in cb_set.gains):
+        raise ConfigError(
+            f"format version {FORMAT_VERSION} has no channel gains; "
+            "cannot save a set with non-unit gains"
+        )
     header = {
         "version": FORMAT_VERSION,
         "K": p.K, "J": p.J, "M": p.M, "N": p.N,

@@ -12,14 +12,20 @@ pair indices that are built once per codebook structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import comb, log
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedError
-from .model import Codebook, CodebookSet, SuperConstellation, enumerate_superimposed
+from .model import (
+    DEFAULT_MAX_POINTS,
+    Codebook,
+    CodebookSet,
+    SuperConstellation,
+    enumerate_superimposed,
+)
 
 # 95% quantile of the chi-square distribution with 2 degrees of freedom,
 # as conventionally quoted to 4 significant digits.
@@ -46,13 +52,15 @@ class ResourceStructure:
     cols[q, u] indexes L at that user's entry, gains[u] is the user's channel
     gain here, point_combo[i] the combination of superimposed point i, and
     pair_flat[p] = a(i) * Q + a(j) for the p-th unordered pair i < j in
-    np.triu_indices order, stored in the smallest unsigned dtype.
+    np.triu_indices order, stored in the smallest unsigned dtype. Only the
+    designer needs pair_flat: resource_structures leaves it None and
+    stack_codebook_set fills it in.
     """
 
     cols: np.ndarray
     gains: np.ndarray
     point_combo: np.ndarray
-    pair_flat: np.ndarray
+    pair_flat: np.ndarray | None = None
 
     def values(self, L: np.ndarray) -> np.ndarray:
         """The Q resource values, summed in user order."""
@@ -148,10 +156,12 @@ class EpdEllipse:
     confidence: float
 
 
-def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
-    """Build the StackedVector of a codebook set (L entries and resource structure)."""
+def resource_structures(
+    cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS
+) -> tuple[np.ndarray, tuple[ResourceStructure, ...]]:
+    """The stacked entries L and each resource's structure, without pair indices."""
     p = cb_set.params
-    tuples = enumerate_superimposed(cb_set).index_tuples - 1
+    tuples = enumerate_superimposed(cb_set, max_points=max_points).index_tuples - 1
     L = np.concatenate([b.C.reshape(-1) for b in cb_set.books])
     resources = []
     for k in range(p.K):
@@ -167,9 +177,20 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
             cols=offsets + combos,
             gains=np.array([cb_set.gains[j][k] for j in users]),
             point_combo=point_combo,
-            pair_flat=_pair_flat(point_combo, len(combos)),
         ))
-    return StackedVector(L=L, resources=tuple(resources), n_points=len(tuples), K=p.K)
+    return L, tuple(resources)
+
+
+def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
+    """Build the StackedVector of a codebook set (L entries and resource structure)."""
+    L, layout = resource_structures(cb_set)
+    resources = tuple(
+        replace(r, pair_flat=_pair_flat(r.point_combo, len(r.cols))) for r in layout
+    )
+    return StackedVector(
+        L=L, resources=resources, n_points=len(resources[0].point_combo),
+        K=cb_set.params.K,
+    )
 
 
 def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:

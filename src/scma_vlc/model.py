@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, log2
+from math import comb, isfinite, log2
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class SystemParams:
         b = log2(self.M)
         if self.M < 2 or b != int(b):
             raise DomainError(f"M must be a power of 2 with M >= 2, got {self.M}")
+        for name in ("sigma2", "varsigma2", "Pe"):
+            if not isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma2 <= 0:
             raise DomainError("sigma2 must be > 0")
         if self.varsigma2 < 0:
@@ -98,6 +101,8 @@ class Codebook:
     user_index: int
 
     def __post_init__(self):
+        if not np.isfinite(self.C).all():
+            raise DomainError("codebook entries must be finite")
         if np.any(self.C < 0):
             raise DomainError("codebook entries must be nonnegative")
 

@@ -9,20 +9,20 @@ from scipy.special import erfc
 
 from .decoder import DEFAULT_ITERS, _build_tables, max_log_mpa_batch
 from .designer import DesignConfig, design
-from .errors import CapacityError, ConfigError, DomainError
-from .model import (
-    DEFAULT_MAX_POINTS,
-    CodebookSet,
-    SystemParams,
-    enumerate_superimposed,
-    scale_codebook_set,
-)
+from .errors import ConfigError, DomainError
+from .metrics import resource_structures
+from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
+from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 DEFAULT_MIN_BIT_ERRORS = 200
 _FRAME_BLOCK = 4096
 
-# Chunk of constellation points processed at once in the union bound.
-_BOUND_CHUNK = 128
+# Sent points per block of the union bound, a power of two: a block's
+# pairwise-error arguments (1 MB at P=4096) stay in cache from gather to sum.
+_BOUND_ROWS = 32
+
+# Set bits of each byte value.
+_POPCOUNT8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -91,29 +91,54 @@ def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) 
     return float(qfunc(arg))
 
 
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Number of set bits of each nonnegative integer in x, a byte at a time."""
+    out = np.zeros(x.shape, dtype=np.int64)
+    while x.any():
+        out += _POPCOUNT8[x & 0xFF]
+        x = x >> 8
+    return out
+
+
 def analytical_ber(cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS) -> float:
-    """Union-bound BER: bit-weighted pairwise error probabilities over all pairs."""
+    """Union-bound BER: bit-weighted pairwise error probabilities over all ordered pairs.
+
+    BER = sum_{i != j} hd(i, j) Q(arg(i, j)) / (J b P), where arg(i, j)^2 =
+    sum_k (s_i^k - s_j^k)^2 / (2 nu_i^k), with nu_i^k = varsigma2 sigma2 s_i^k
+    + sigma2 taken at the sent point i. Resource k takes only M^d values, so
+    arg^2 is gathered from one ordered table per resource, the terms added in
+    resource order. Labels are natural binary with user 1 as the most
+    significant digit, so the label of point i read as a J*b-bit integer is
+    i itself and hd(i, j) = popcount(i XOR j). Raises CapacityError when M^J
+    exceeds max_points.
+    """
     p = cb_set.params
-    if p.M**p.J > max_points:
-        raise CapacityError(f"M^J = {p.M ** p.J} exceeds the limit {max_points}")
-    constellation = enumerate_superimposed(cb_set, max_points=max_points)
-    s = constellation.points
-    bits = constellation.bit_labels.astype(np.int64)
-    nu = constellation.covariances
-    P = len(s)
+    L, resources = resource_structures(cb_set, max_points=max_points)
+    # cols[k][a, j] = (v_a - v_b)^2 / (2 nu_a) with b the value of point j on
+    # resource k: each block of sent points gathers whole rows of it.
+    cols = []
+    for r in resources:
+        v = r.values(L)
+        nu = p.varsigma2 * p.sigma2 * v + p.sigma2
+        diff = v[:, None] - v[None, :]
+        cols.append(np.take(diff * diff / (2.0 * nu[:, None]), r.point_combo, axis=1))
+    P = len(resources[0].point_combo)
+    B = min(_BOUND_ROWS, P)
+    j = np.arange(P)
+    # For a block of rows lo + r with lo a multiple of B, hd splits into a
+    # low-bit table shared by every block and a per-column high-bit term.
+    low = _popcount(np.arange(B)[:, None] ^ (j & (B - 1))).astype(float)
     total = 0.0
-    for lo in range(0, P, _BOUND_CHUNK):
-        hi = min(lo + _BOUND_CHUNK, P)
-        diff = s[lo:hi, None, :] - s[None, :, :]
-        args = np.sqrt(np.sum(diff * diff / (2.0 * nu[lo:hi, None, :]), axis=2))
-        pep = qfunc(args)
-        hd = np.sum(bits[lo:hi, None, :] != bits[None, :, :], axis=2)
-        block = pep * hd
-        idx = np.arange(lo, hi)
-        block[idx - lo, idx] = 0.0  # exclude i' == i
-        total += float(block.sum())
+    for lo in range(0, P, B):
+        arg2 = np.take(cols[0], resources[0].point_combo[lo:lo + B], axis=0)
+        for c, r in zip(cols[1:], resources[1:]):
+            arg2 += np.take(c, r.point_combo[lo:lo + B], axis=0)
+        pep = qfunc(np.sqrt(arg2, out=arg2))
+        high = _popcount((lo ^ j) & ~(B - 1))
+        # The diagonal needs no masking: hd(i, i) = 0 and Q(0) is finite.
+        total += np.vdot(pep, low) + np.dot(pep.sum(axis=0), high)
     n_bits = p.J * p.bits_per_symbol
-    return total / (n_bits * P)
+    return float(total) / (n_bits * P)
 
 
 def simulate_ber(

@@ -104,6 +104,16 @@ class TestDecodeCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_input_is_usage_error(self, fixture_file, tmp_path, capsys):
+        inp = tmp_path / "rx.csv"
+        inp.write_text("1.0,2.0,0.5,1.5\n1e200,1.0,1.0,1.0\n")
+        out = tmp_path / "decoded.csv"
+        rc = main(["decode", "--cb", str(fixture_file), "--input", str(inp),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "magnitude" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_input_or_counts(self, fixture_file):
         with pytest.raises(SystemExit) as e:
             main(["decode", "--cb", str(fixture_file)])

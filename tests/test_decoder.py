@@ -437,3 +437,37 @@ class TestNonFiniteInput:
             max_log_mpa(y, ls_j3)
         with pytest.raises(DomainError):
             mpa_linear(y, ls_j3)
+        with pytest.raises(DomainError):
+            joint_map_bruteforce(y, ls_j3)
+
+
+class TestHugeInput:
+    def test_every_entry_point_rejects(self, ls_j3):
+        # Finite, but (y - s)^2 overflows: the metrics would all be -inf and
+        # the LLRs NaN.
+        y = np.array([1e200, 1.0, 1.0, 1.0])
+        with pytest.raises(DomainError):
+            max_log_mpa(y, ls_j3)
+        with pytest.raises(DomainError):
+            max_log_mpa_batch(np.vstack([np.ones(4), y]), ls_j3)
+        with pytest.raises(DomainError):
+            mpa_linear(y, ls_j3)
+        with pytest.raises(DomainError):
+            joint_map_bruteforce(y, ls_j3)
+
+    def test_largest_accepted_value_keeps_llrs_finite(self):
+        cb = load_fixture("ls-j6")
+        y = np.sqrt(2.0 * cb.params.sigma2 * 1e150) * np.array([1.0, -1.0, 1.0, 0.0])
+        state = max_log_mpa(y, cb, n_iters=200, early_exit=False)
+        assert np.all(np.isfinite(state.llrs))
+        with pytest.raises(DomainError):
+            max_log_mpa(1.001 * y, cb)
+
+
+class TestLinearMpaShape:
+    def test_batch_is_rejected(self, ls_j3):
+        points = enumerate_superimposed(ls_j3).points
+        with pytest.raises(DimensionError):
+            mpa_linear(points[[5, 40, 63]], ls_j3)
+        with pytest.raises(DimensionError):
+            mpa_linear(points[[5]], ls_j3)

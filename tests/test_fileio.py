@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scma_vlc import fixture_names, load_codebook_set, load_fixture, save_codebook_set
-from scma_vlc.errors import ConfigError
+from scma_vlc.errors import ConfigError, DomainError
 from scma_vlc.fileio import dumps_codebook_set, loads_codebook_set
 
 
@@ -23,6 +24,21 @@ class TestRoundTrip:
     def test_serialization_canonical(self, ls_j3):
         text = dumps_codebook_set(ls_j3)
         assert dumps_codebook_set(loads_codebook_set(text)) == text
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_unit_gain_sets_round_trip_byte_identical(self, name):
+        text = dumps_codebook_set(load_fixture(name))
+        assert dumps_codebook_set(loads_codebook_set(text)) == text
+
+    def test_non_unit_gains_refused(self, tmp_path):
+        gains = tuple(np.array([0.5, 1.0, 2.0, 1.0]) for _ in range(4))
+        cb = replace(load_fixture("ls-j4"), gains=gains)
+        with pytest.raises(ConfigError):
+            dumps_codebook_set(cb)
+        path = tmp_path / "gains.scma"
+        with pytest.raises(ConfigError):
+            save_codebook_set(cb, path)
+        assert not path.exists()
 
     def test_header_fields(self, ls_j3):
         header = json.loads(dumps_codebook_set(ls_j3).splitlines()[0])
@@ -65,6 +81,21 @@ class TestErrors:
         lines = dumps_codebook_set(ls_j3).splitlines()
         lines[1] = "1 1 1"  # resource row with wrong support pattern
         with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_nan_entry(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        row = lines[5].split()
+        row[1] = "nan"
+        lines[5] = " ".join(row)
+        with pytest.raises(DomainError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_infinite_noise_variance(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        assert '"sigma2": 0.01' in lines[0]
+        lines[0] = lines[0].replace('"sigma2": 0.01', '"sigma2": Infinity')
+        with pytest.raises(DomainError):
             loads_codebook_set("\n".join(lines))
 
     def test_missing_header_field(self, ls_j3):

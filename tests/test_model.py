@@ -13,7 +13,7 @@ from scma_vlc import (
     scale_codebook_set,
 )
 from scma_vlc.errors import CapacityError, DimensionError, DomainError
-from scma_vlc.model import bit_label
+from scma_vlc.model import Codebook, bit_label
 
 
 class TestSystemParams:
@@ -42,6 +42,12 @@ class TestSystemParams:
             SystemParams(J=3, varsigma2=-1.0)
         with pytest.raises(DomainError):
             SystemParams(J=3, Pe=0.0)
+
+    @pytest.mark.parametrize("field", ["sigma2", "varsigma2", "Pe"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_and_power(self, field, bad):
+        with pytest.raises(DomainError):
+            SystemParams(J=3, **{field: bad})
 
 
 class TestFactorGraph:
@@ -210,3 +216,12 @@ class TestFixtures:
 
         with pytest.raises(ConfigError):
             load_fixture("nope")
+
+
+class TestCodebookEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_entry(self, bad):
+        C = np.ones((2, 4))
+        C[1, 2] = bad
+        with pytest.raises(DomainError):
+            Codebook(C=C, user_index=1)

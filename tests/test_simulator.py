@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,37 @@ from scma_vlc import (
 )
 from scma_vlc.errors import CapacityError, ConfigError, DomainError
 from scma_vlc.model import codebook_set_from_constellations
+from scma_vlc.simulator import _popcount
+
+
+def _chunked_union_bound(cb_set):
+    """The union bound over 128-row chunks of explicit point differences and
+    bit-label Hamming distances: the formula analytical_ber replaced."""
+    p = cb_set.params
+    constellation = enumerate_superimposed(cb_set)
+    s = constellation.points
+    bits = constellation.bit_labels.astype(np.int64)
+    nu = constellation.covariances
+    P = len(s)
+    total = 0.0
+    for lo in range(0, P, 128):
+        hi = min(lo + 128, P)
+        diff = s[lo:hi, None, :] - s[None, :, :]
+        args = np.sqrt(np.sum(diff * diff / (2.0 * nu[lo:hi, None, :]), axis=2))
+        pep = qfunc(args)
+        hd = np.sum(bits[lo:hi, None, :] != bits[None, :, :], axis=2)
+        block = pep * hd
+        idx = np.arange(lo, hi)
+        block[idx - lo, idx] = 0.0  # exclude i' == i
+        total += float(block.sum())
+    n_bits = p.J * p.bits_per_symbol
+    return total / (n_bits * P)
+
+
+def _at(cb_set, varsigma2, pe):
+    """cb_set rescaled to power pe, with shot-noise factor varsigma2."""
+    scaled = scale_codebook_set(cb_set, pe)
+    return replace(scaled, params=replace(scaled.params, varsigma2=varsigma2))
 
 
 class TestQfunc:
@@ -110,6 +143,42 @@ class TestAnalyticalBer:
     def test_decreases_with_power(self, ls_j3):
         vals = [analytical_ber(scale_codebook_set(ls_j3, pe)) for pe in (5.0, 10.0, 20.0)]
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestStructuralBound:
+    """analytical_ber against the chunked pairwise formula it replaced."""
+
+    @pytest.mark.parametrize("name", ["dr-j3", "ls-j3", "ls-j4", "ls-j5"])
+    @pytest.mark.parametrize("varsigma2", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("pe", [3.0, 20.0, 30.0])
+    def test_matches_chunked_formula(self, name, varsigma2, pe):
+        cb = _at(load_fixture(name), varsigma2, pe)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
+    # The chunked formula takes seconds at P=4096, so ls-j6 runs one power
+    # level per shot-noise factor, covering each value of both.
+    @pytest.mark.parametrize("varsigma2, pe", [(0.0, 3.0), (1.0, 20.0), (5.0, 30.0)])
+    def test_matches_chunked_formula_j6(self, varsigma2, pe):
+        cb = _at(load_fixture("ls-j6"), varsigma2, pe)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
+    def test_non_unit_gains(self):
+        cb = load_fixture("ls-j4")
+        gains = tuple(np.array([0.5, 1.0, 2.0, 1.0]) for _ in range(cb.params.J))
+        cb = replace(cb, gains=gains)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+        # The gains reach the bound: without them it is lower.
+        assert analytical_ber(load_fixture("ls-j4")) < 0.9 * want
+
+    def test_hamming_distance_is_popcount_of_index_xor(self):
+        labels = enumerate_superimposed(load_fixture("ls-j4")).bit_labels
+        P = len(labels)
+        hd = np.sum(labels[:, None, :] != labels[None, :, :], axis=2)
+        i = np.arange(P)
+        np.testing.assert_array_equal(hd, _popcount(i[:, None] ^ i[None, :]))
 
 
 class TestSimulateBer:
