@@ -1,9 +1,10 @@
 """Command-line entry point: design, analyze, decode, simulate, sweep, fixtures.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 convergence failure,
-4 capacity exceeded. Every output CSV gets a sibling `<name>.manifest.json`
-recording the full run configuration; timestamps live only in manifests so
-numerical outputs are reproducible byte-for-byte.
+4 capacity exceeded. Every artifact gets one sibling `<name>.manifest.json`
+recording the full run configuration, input digests, wall time and the
+environment (Python, numpy and scipy versions, CPU count); timestamps live
+only in manifests so numerical outputs are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .decoder import joint_map_bruteforce  # noqa: F401  (re-exported debug helper)
@@ -25,7 +29,7 @@ from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, load_codebook_set, save_codebook_set
 from .fixtures import fixture_names, load_fixture
-from .metrics import epd_ellipses, pairwise_report, red, stack_codebook_set
+from .metrics import epd_ellipses, pairwise_report, red
 from .model import SystemParams, enumerate_superimposed
 from .simulator import simulate_ber, sweep
 
@@ -33,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CAPACITY = 4
+
+# The noise streams of simulate and sweep (simulator.TrialStream).
+_NOISE_GENERATOR = "numpy PCG64, SeedSequence([seed, block])"
 
 
 def _digest(path: Path) -> str:
@@ -45,14 +52,20 @@ def _config_dict(args) -> dict:
 
 def _write_manifest(out_path: Path, command: str, config: dict, inputs: list[Path],
                     started: str) -> None:
+    finished = datetime.now(timezone.utc)
     manifest = {
         "command": command,
         "config": config,
         "tool_version": __version__,
         "input_digests": {str(p): _digest(p) for p in inputs},
         "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "finished": finished.isoformat(),
+        "wall_time_s": (finished - datetime.fromisoformat(started)).total_seconds(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
     }
+    if command in ("simulate", "sweep"):
+        manifest["generator"] = _NOISE_GENERATOR
     out_path.with_suffix(out_path.suffix + ".manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n"
     )
@@ -267,9 +280,6 @@ def _cmd_sweep(args) -> int:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    sidecar = {"command": "sweep", "config": _config_dict(args), "seed": args.seed,
-               "generator": "numpy PCG64, SeedSequence([seed, block])"}
-    Path(str(out) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     _write_manifest(out, "sweep", _config_dict(args), inputs, started)
     print(f"wrote {out} ({len(points)} points)")
     return EXIT_OK

@@ -7,18 +7,20 @@ oracle sits beside them. Inside the kernel the frame axis is last: each
 resource's channel metric is one contiguous (M,)*d + (T,) array, messages are
 (M, T) arrays indexed by edge, and a message meets its axis of the metric by
 reshape. The public batch function takes frames on axis 0; the single-vector
-functions wrap a batch of one.
+functions wrap a batch of one. Each resource's users, superimposed values and
+combination order come from model.resource_layout, shared with the designer
+and the union bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError
-from .model import DEFAULT_MAX_POINTS, CodebookSet, enumerate_superimposed
+from .errors import DimensionError, DomainError
+from .model import DEFAULT_MAX_POINTS, CodebookSet, ResourceLayout, enumerate_superimposed
+from .model import label_table, resource_layout
 
 DEFAULT_ITERS = 6
 
@@ -59,49 +61,33 @@ class DecoderState:
 
 @dataclass
 class _Tables:
-    """Precomputed per-resource combination tables for one codebook set."""
+    """Per-resource decoder tables of one codebook set, read from its layout."""
 
     params: object
+    layout: tuple[ResourceLayout, ...]
     edges: list[tuple[int, int]]          # (k, j) 0-based, by resource then neighbour position
     rn_edges: list[list[int]]             # per RN, edge ids in neighbour-position order
     vn_edges: list[list[int]]             # per VN, edge ids in resource order
-    combo_sum: list[np.ndarray]           # per RN, (M^d,) superimposed intensity
+    values: list[np.ndarray]              # per RN, (M^d,) superimposed intensity
     rho2: list[np.ndarray]                # per RN, (M^d,)
-    bit_masks: np.ndarray                 # (b, M) bit value of each symbol
+    labels: np.ndarray                    # (M, b) natural-binary label of each symbol
 
 
 def _build_tables(cb_set: CodebookSet) -> _Tables:
     p = cb_set.params
-    neighbors = [[j - 1 for j in ns] for ns in cb_set.graph.rn_neighbors]
-    edges = [(k, j) for k in range(p.K) for j in neighbors[k]]
-    edge_id = {e: i for i, e in enumerate(edges)}
-    rn_edges = [[edge_id[(k, j)] for j in js] for k, js in enumerate(neighbors)]
-    vn_edges = [[edge_id[(k - 1, j)] for k in ks]
-                for j, ks in enumerate(cb_set.graph.vn_neighbors)]
-    sums, rho2 = [], []
-    for k in range(p.K):
-        js = neighbors[k]
-        # Mixed-radix combos: the symbol at neighbour position 0 varies slowest,
-        # so (M^d,) reshapes to (M,)*d with one axis per neighbour position.
-        combo = np.array(list(product(range(p.M), repeat=len(js))), dtype=np.int64)
-        combo = combo.reshape(p.M ** len(js), len(js))
-        total = np.zeros(len(combo))
-        for pos, j in enumerate(js):
-            n = cb_set.graph.vn_neighbors[j].index(k + 1)  # row of C_j on resource k
-            vals = cb_set.gains[j][k] * cb_set.books[j].C[n, :]
-            total += vals[combo[:, pos]]
-        sums.append(total)
-        r2 = p.sigma2 + p.varsigma2 * p.sigma2 * total
-        if np.any(r2 <= 0):
-            raise DomainError("nonpositive per-RN variance; intensities must be >= 0")
-        rho2.append(r2)
-    b = p.bits_per_symbol
-    masks = np.array(
-        [[(m >> (b - 1 - i)) & 1 for m in range(p.M)] for i in range(b)], dtype=np.uint8
-    )
+    L, layout = resource_layout(cb_set)
+    edges = [(k, j) for k, r in enumerate(layout) for j in r.users]
+    rn_edges = [[e for e, (k, _) in enumerate(edges) if k == rn] for rn in range(p.K)]
+    vn_edges = [[e for e, (_, j) in enumerate(edges) if j == vn] for vn in range(p.J)]
+    # Combination q of a resource has the symbol at neighbour position 0 as
+    # its slowest digit, so (M^d,) reshapes to (M,)*d, one axis per position.
+    values = [r.values(L) for r in layout]
+    rho2 = [p.sigma2 + p.varsigma2 * p.sigma2 * v for v in values]
+    if any(np.any(r2 <= 0) for r2 in rho2):
+        raise DomainError("nonpositive per-RN variance; intensities must be >= 0")
     return _Tables(
-        params=p, edges=edges, rn_edges=rn_edges, vn_edges=vn_edges,
-        combo_sum=sums, rho2=rho2, bit_masks=masks,
+        params=p, layout=layout, edges=edges, rn_edges=rn_edges, vn_edges=vn_edges,
+        values=values, rho2=rho2, labels=label_table(p.M),
     )
 
 
@@ -134,7 +120,7 @@ def _rn_metrics(Y: np.ndarray, tables: _Tables, include_logdet: bool,
     for k, es in enumerate(tables.rn_edges):
         rho2 = np.full_like(tables.rho2[k], p.sigma2) if force_awgn else tables.rho2[k]
         # -((y - s)^2) / (2 rho2) [- 0.5 ln(2 pi rho2)], in place in one array.
-        m = Yt[None, k] - tables.combo_sum[k][:, None]
+        m = Yt[None, k] - tables.values[k][:, None]
         np.square(m, out=m)
         np.negative(m, out=m)
         m /= 2.0 * rho2[:, None]
@@ -159,7 +145,7 @@ def _logsumexp_marginal(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
-                   force_awgn=False, early_exit=True, counts=None):
+                   force_awgn=False, early_exit=True):
     """Run n_iters flooding iterations on (T, K) received vectors, frames last.
 
     marginalize(x, axes) reduces an extrinsic tensor over the axes of the
@@ -209,10 +195,6 @@ def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
                 new = marginalize(ext, axes) if d > 1 else metric
                 if pos_j < d - 1:
                     prefix = np.add(prefix, views[pos_j], out=prefix_buf)
-                if counts is not None:
-                    counts.comparison += M**d
-                    counts.multiplication += 4 * M**d
-                    counts.addition += (3 * d + 1) * M**d * d
                 # Once delta reaches the tolerance this iteration is no
                 # fixpoint, so the remaining edges skip the check.
                 if early_exit and delta < _FIXPOINT_TOL:
@@ -245,8 +227,8 @@ def _outputs(beliefs, rn, vn, tables):
     tie decides bit 1. Messages are returned as (k, j) -> (T, M) views.
     """
     J, _, T = beliefs.shape
-    llrs = np.empty((T, J, len(tables.bit_masks)))
-    for i, mask in enumerate(tables.bit_masks):
+    llrs = np.empty((T, J, tables.labels.shape[1]))
+    for i, mask in enumerate(tables.labels.T):
         zero = mask == 0
         llrs[:, :, i] = (beliefs[:, zero].max(axis=1) - beliefs[:, ~zero].max(axis=1)).T
     hard = (llrs <= 0).astype(np.uint8)
@@ -270,8 +252,9 @@ def max_log_mpa_batch(
     """Max-Log message passing over a batch of received vectors.
 
     Returns (beliefs (T,J,M), llrs (T,J,b), hard bits (T,J,b), messages,
-    OpCounts or None). Counting disables the fixpoint early exit so counters
-    reflect exactly n_iters iterations. Raises DomainError on NaN or inf in Y.
+    OpCounts or None). The counts sum op_counts over the resources' degrees;
+    counting disables the fixpoint early exit so the decoder runs exactly the
+    n_iters iterations counted. Raises DomainError on NaN or inf in Y.
     """
     p = cb_set.params
     Y = _received(Y, p)
@@ -279,10 +262,14 @@ def max_log_mpa_batch(
         raise DomainError("n_iters must be >= 1")
     if tables is None:
         tables = _build_tables(cb_set)
-    counts = OpCounts() if count_ops else None
+    counts = None
+    if count_ops:
+        per_rn = [astuple(op_counts(p.M, d, 1, n_iters, "max_log"))
+                  for d in cb_set.graph.df_per_rn]
+        counts = OpCounts(*map(sum, zip(*per_rn)))
     beliefs, rn, vn = _pass_messages(
         Y, tables, n_iters, np.max, include_logdet=include_logdet,
-        force_awgn=force_awgn, early_exit=early_exit and counts is None, counts=counts,
+        force_awgn=force_awgn, early_exit=early_exit and not count_ops,
     )
     return (*_outputs(beliefs, rn, vn, tables), counts)
 
@@ -359,11 +346,8 @@ def loglik_table(Y: np.ndarray, cb_set: CodebookSet,
     Returns ((T, M^J) log-likelihoods, the enumerated constellation).
     Received vectors are checked as for the message-passing decoders.
     """
-    p = cb_set.params
-    if p.M**p.J > max_points:
-        raise CapacityError(f"M^J = {p.M ** p.J} exceeds the limit {max_points}")
-    Y = _received(Y, p)
     constellation = enumerate_superimposed(cb_set, max_points=max_points)
+    Y = _received(Y, cb_set.params)
     s = constellation.points
     nu = constellation.covariances
     diff = Y[:, None, :] - s[None, :, :]

@@ -73,25 +73,17 @@ def loads_codebook_set(text: str) -> CodebookSet:
     )
     if F.shape != (params.K, params.J):
         raise ConfigError("factor graph block has wrong shape")
+    graph = FactorGraph(F=F)
     if np.any(F.sum(axis=0) != params.N):
         raise ConfigError("every factor graph column must have exactly N ones")
 
     books = []
-    pos = 1 + params.K
-    for _ in range(params.J):
-        rows = [[float(v) for v in lines[pos + n].split()] for n in range(params.N)]
-        C = np.array(rows)
+    for pos in range(1 + params.K, expected, params.N):
+        C = np.array([[float(v) for v in ln.split()] for ln in lines[pos:pos + params.N]])
         if C.shape != (params.N, params.M):
             raise ConfigError("constellation block has wrong shape")
         books.append(C)
-        pos += params.N
 
-    rn = tuple(tuple(int(j + 1) for j in np.flatnonzero(F[k])) for k in range(params.K))
-    vn = tuple(tuple(int(k + 1) for k in np.flatnonzero(F[:, j])) for j in range(params.J))
-    graph = FactorGraph(
-        F=F, rn_neighbors=rn, vn_neighbors=vn,
-        df_per_rn=tuple(int(F[k].sum()) for k in range(params.K)),
-    )
     mappings = tuple(mapping_from_graph(graph, j) for j in range(1, params.J + 1))
     return CodebookSet(
         params=params, graph=graph, mappings=mappings,

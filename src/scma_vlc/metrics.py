@@ -7,25 +7,22 @@ its analytic gradient, and equal-probability-density ellipse analytics.
 The objective and gradient use the per-resource structure of the points:
 a resource takes only M^d distinct values (d users on it), so every pair
 distance is a sum of entries of small per-resource tables, gathered through
-pair indices that are built once per codebook structure.
+pair indices that are built once per codebook structure. The resource
+layout itself (users, L columns, gains, combination indices) comes from
+model.resource_layout, which the decoder and the union bound read too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, field
 from math import comb, log
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedError
-from .model import (
-    DEFAULT_MAX_POINTS,
-    Codebook,
-    CodebookSet,
-    SuperConstellation,
-    enumerate_superimposed,
-)
+from .model import Codebook, CodebookSet, ResourceLayout, SuperConstellation
+from .model import point_digits, resource_layout
+from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 # 95% quantile of the chi-square distribution with 2 degrees of freedom,
 # as conventionally quoted to 4 significant digits.
@@ -44,30 +41,17 @@ _GATHER_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class ResourceStructure:
-    """Static structure of one resource: its value combinations and pair indices.
+    """One resource's layout plus the designer's point and pair indices.
 
-    The d users on the resource (ascending user order) combine into Q = M^d
-    distinct resource values; combination q has user u on symbol digit u of q
-    in mixed radix (first user most significant, as in the decoder's tables).
-    cols[q, u] indexes L at that user's entry, gains[u] is the user's channel
-    gain here, point_combo[i] the combination of superimposed point i, and
-    pair_flat[p] = a(i) * Q + a(j) for the p-th unordered pair i < j in
-    np.triu_indices order, stored in the smallest unsigned dtype. Only the
-    designer needs pair_flat: resource_structures leaves it None and
-    stack_codebook_set fills it in.
+    point_combo[i] is the combination (in the layout's mixed radix) of
+    superimposed point i, and pair_flat[p] = a(i) * Q + a(j) for the p-th
+    unordered pair i < j in np.triu_indices order, stored in the smallest
+    unsigned dtype.
     """
 
-    cols: np.ndarray
-    gains: np.ndarray
+    layout: ResourceLayout
     point_combo: np.ndarray
-    pair_flat: np.ndarray | None = None
-
-    def values(self, L: np.ndarray) -> np.ndarray:
-        """The Q resource values, summed in user order."""
-        v = np.zeros(len(self.cols))
-        for u, gain in enumerate(self.gains):
-            v += gain * L[self.cols[:, u]]
-        return v
+    pair_flat: np.ndarray
 
     def table_parts(self, L: np.ndarray, varsigma2: float):
         """(diff, g, root) of the Q x Q distance table diff^2 / root.
@@ -75,7 +59,7 @@ class ResourceStructure:
         diff[a, b] = v_a - v_b, g = varsigma2 * v + 1 and root[a, b] =
         sqrt(g_a * g_b), the operands of the pairwise rotated distance.
         """
-        v = self.values(L)
+        v = self.layout.values(L)
         g = varsigma2 * v + 1.0
         diff = v[:, None] - v[None, :]
         return diff, g, np.sqrt(g[:, None] * g[None, :])
@@ -101,7 +85,7 @@ class StackedVector:
 
     def points(self) -> np.ndarray:
         return np.column_stack(
-            [r.values(self.L)[r.point_combo] for r in self.resources]
+            [r.layout.values(self.L)[r.point_combo] for r in self.resources]
         )
 
     def replace(self, L: np.ndarray) -> "StackedVector":
@@ -156,41 +140,16 @@ class EpdEllipse:
     confidence: float
 
 
-def resource_structures(
-    cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS
-) -> tuple[np.ndarray, tuple[ResourceStructure, ...]]:
-    """The stacked entries L and each resource's structure, without pair indices."""
-    p = cb_set.params
-    tuples = enumerate_superimposed(cb_set, max_points=max_points).index_tuples - 1
-    L = np.concatenate([b.C.reshape(-1) for b in cb_set.books])
-    resources = []
-    for k in range(p.K):
-        users = np.flatnonzero(cb_set.graph.F[k])
-        combos = np.array(list(product(range(p.M), repeat=len(users))), dtype=np.int64)
-        combos = combos.reshape(p.M ** len(users), len(users))
-        rows = [cb_set.graph.vn_neighbors[j].index(k + 1) for j in users]
-        offsets = np.array([(j * p.N + n) * p.M for j, n in zip(users, rows)], dtype=np.int64)
-        point_combo = np.zeros(len(tuples), dtype=np.int64)
-        for j in users:
-            point_combo = point_combo * p.M + tuples[:, j]
-        resources.append(ResourceStructure(
-            cols=offsets + combos,
-            gains=np.array([cb_set.gains[j][k] for j in users]),
-            point_combo=point_combo,
-        ))
-    return L, tuple(resources)
-
-
 def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
     """Build the StackedVector of a codebook set (L entries and resource structure)."""
-    L, layout = resource_structures(cb_set)
+    L, layout = resource_layout(cb_set)
+    digits = point_digits(cb_set.params)
+    combos = [r.combos(digits) for r in layout]
     resources = tuple(
-        replace(r, pair_flat=_pair_flat(r.point_combo, len(r.cols))) for r in layout
+        ResourceStructure(layout=r, point_combo=a, pair_flat=_pair_flat(a, len(r.cols)))
+        for r, a in zip(layout, combos)
     )
-    return StackedVector(
-        L=L, resources=resources, n_points=len(resources[0].point_combo),
-        K=cb_set.params.K,
-    )
+    return StackedVector(L=L, resources=resources, n_points=len(digits), K=cb_set.params.K)
 
 
 def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
@@ -216,6 +175,8 @@ def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     s_j = np.asarray(s_j, dtype=float)
     if s_i.shape != s_j.shape:
         raise DomainError("points must have equal length")
+    if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
+        raise DomainError("superimposed codewords must be finite")
     if np.any(s_i < 0) or np.any(s_j < 0):
         raise DomainError("superimposed codewords must be componentwise nonnegative")
     g = np.sqrt((varsigma2 * s_i + 1.0) * (varsigma2 * s_j + 1.0))
@@ -297,7 +258,7 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
 
     cols, weights = [], []
     for r in L.resources:
-        Q = len(r.cols)
+        Q = len(r.layout.cols)
         W = np.bincount(r.pair_flat[:_GATHER_CHUNK], weights=w[:_GATHER_CHUNK],
                         minlength=Q * Q)
         for lo in range(_GATHER_CHUNK, len(w), _GATHER_CHUNK):
@@ -309,8 +270,8 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
         # weights of the pairs where it is the first or the second point.
         dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, None] * root)
         dv = -np.sum((W + W.T) * dt, axis=1)
-        cols.append(r.cols.ravel())
-        weights.append((dv[:, None] * r.gains).ravel())
+        cols.append(r.layout.cols.ravel())
+        weights.append((dv[:, None] * r.layout.gains).ravel())
     return np.bincount(
         np.concatenate(cols), weights=np.concatenate(weights), minlength=L.L.size
     )

@@ -1,13 +1,17 @@
 """SCMA structural objects: parameters, factor graph, mappings, codebooks.
 
+resource_layout is the one place that derives the per-resource structure
+(users, L columns, gains, combination order) that the decoder, the designer's
+distance kernel, the union bound and enumerate_superimposed all read.
+
 Users, resources and symbols are indexed 1-based in the public API (as is
 conventional for SCMA block descriptions); numpy arrays are 0-based inside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
+from itertools import combinations, product
 from math import comb, isfinite, log2
 
 import numpy as np
@@ -66,16 +70,28 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """K x J binary factor graph plus its neighbor sets.
+    """K x J binary factor graph plus the neighbor sets derived from it.
 
     rn_neighbors[k] lists the users (1-based) served on resource k+1;
     vn_neighbors[j] lists the resources (1-based) carrying user j+1.
+    Raises DimensionError unless F is a 2-D matrix of zeros and ones.
     """
 
     F: np.ndarray
-    rn_neighbors: tuple[tuple[int, ...], ...]
-    vn_neighbors: tuple[tuple[int, ...], ...]
-    df_per_rn: tuple[int, ...]
+    rn_neighbors: tuple[tuple[int, ...], ...] = field(init=False)
+    vn_neighbors: tuple[tuple[int, ...], ...] = field(init=False)
+    df_per_rn: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        F = np.asarray(self.F)
+        if F.ndim != 2 or not ((F == 0) | (F == 1)).all():
+            raise DimensionError("a factor graph must be a 2-D matrix of zeros and ones")
+        rn = tuple(tuple(int(j + 1) for j in np.flatnonzero(row)) for row in F)
+        vn = tuple(tuple(int(k + 1) for k in np.flatnonzero(col)) for col in F.T)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "rn_neighbors", rn)
+        object.__setattr__(self, "vn_neighbors", vn)
+        object.__setattr__(self, "df_per_rn", tuple(len(users) for users in rn))
 
     @property
     def K(self) -> int:
@@ -140,6 +156,36 @@ class SuperConstellation:
     covariances: np.ndarray   # (P, K)
 
 
+@dataclass(frozen=True)
+class ResourceLayout:
+    """The d users on one resource (0-based, ascending) and their Q = M^d values.
+
+    Combination q has user u at digit u of q in mixed radix (first user most
+    significant), so a (Q,) array reshapes to (M,)*d with one axis per user.
+    cols[q, u] indexes the stacked entries L at that user's entry, and
+    gains[u] is the user's channel gain here.
+    """
+
+    M: int
+    users: tuple[int, ...]
+    cols: np.ndarray   # (Q, d)
+    gains: np.ndarray  # (d,)
+
+    def values(self, L: np.ndarray) -> np.ndarray:
+        """The Q resource values, summed in user order."""
+        v = np.zeros(len(self.cols))
+        for u, gain in enumerate(self.gains):
+            v += gain * L[self.cols[:, u]]
+        return v
+
+    def combos(self, digits: np.ndarray) -> np.ndarray:
+        """Combination index of each row of (T, J) 0-based symbol digits."""
+        q = np.zeros(len(digits), dtype=np.int64)
+        for j in self.users:
+            q = q * self.M + digits[:, j]
+        return q
+
+
 def build_factor_graph(K: int, J: int, N: int) -> FactorGraph:
     """Build the K x J factor graph with N nonzeros per column.
 
@@ -158,20 +204,16 @@ def build_factor_graph(K: int, J: int, N: int) -> FactorGraph:
     F = np.zeros((K, J), dtype=np.int64)
     for j, rows in enumerate(supports):
         F[list(rows), j] = 1
-    rn = tuple(tuple(int(j + 1) for j in np.flatnonzero(F[k])) for k in range(K))
-    vn = tuple(tuple(int(k + 1) for k in np.flatnonzero(F[:, j])) for j in range(J))
-    df = tuple(int(F[k].sum()) for k in range(K))
-    return FactorGraph(F=F, rn_neighbors=rn, vn_neighbors=vn, df_per_rn=df)
+    return FactorGraph(F=F)
 
 
 def mapping_from_graph(graph: FactorGraph, j: int) -> MappingMatrix:
     """Mapping matrix of user j: column n hits the n-th (ascending) resource of user j."""
     if not 1 <= j <= graph.J:
         raise IndexError(f"user index {j} out of range 1..{graph.J}")
-    rows = np.flatnonzero(graph.F[:, j - 1])
-    V = np.zeros((graph.K, len(rows)), dtype=np.int64)
-    for n, k in enumerate(rows):
-        V[k, n] = 1
+    ks = graph.vn_neighbors[j - 1]
+    V = np.zeros((graph.K, len(ks)), dtype=np.int64)
+    V[np.array(ks, dtype=np.int64) - 1, np.arange(len(ks))] = 1
     return MappingMatrix(V=V)
 
 
@@ -189,6 +231,45 @@ def bit_label(m: int, bits: int) -> np.ndarray:
     return np.array([(m - 1) >> (bits - 1 - i) & 1 for i in range(bits)], dtype=np.uint8)
 
 
+def label_table(M: int) -> np.ndarray:
+    """(M, b) uint8 natural binary labels of the M symbols; row m-1 labels symbol m."""
+    return np.stack([bit_label(m, M.bit_length() - 1) for m in range(1, M + 1)])
+
+
+def resource_layout(cb_set: CodebookSet) -> tuple[np.ndarray, tuple[ResourceLayout, ...]]:
+    """Stacked entries L and the layout of each resource of a codebook set.
+
+    L concatenates vec(C_1), ..., vec(C_J) (row-major N x M blocks).
+    """
+    p = cb_set.params
+    L = np.concatenate([b.C.reshape(-1) for b in cb_set.books])
+    layout = []
+    for k, ns in enumerate(cb_set.graph.rn_neighbors):
+        users = tuple(j - 1 for j in ns)
+        combos = np.array(list(product(range(p.M), repeat=len(users))), dtype=np.int64)
+        # Row of C_j on resource k: its position among user j's resources.
+        rows = [cb_set.graph.vn_neighbors[j].index(k + 1) for j in users]
+        offsets = np.array([(j * p.N + n) * p.M for j, n in zip(users, rows)], dtype=np.int64)
+        layout.append(ResourceLayout(
+            M=p.M, users=users, cols=offsets + combos,
+            gains=np.array([cb_set.gains[j][k] for j in users]),
+        ))
+    return L, tuple(layout)
+
+
+def point_digits(params: SystemParams, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+    """(M^J, J) 0-based symbol digits of every superimposed point.
+
+    Point i is i written in base M with user 1 as the most significant
+    digit. Raises CapacityError when M^J exceeds max_points.
+    """
+    M, J = params.M, params.J
+    if M**J > max_points:
+        raise CapacityError(f"M^J = {M**J} exceeds the configured limit {max_points}")
+    idx = np.arange(M**J)
+    return np.stack([(idx // M ** (J - 1 - j)) % M for j in range(J)], axis=1)
+
+
 def enumerate_superimposed(
     cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS
 ) -> SuperConstellation:
@@ -196,36 +277,16 @@ def enumerate_superimposed(
 
     Tuple order is a mixed-radix counter with user 1 as the most significant
     digit; bit labels concatenate each user's natural-binary symbol label in
-    user order.
+    user order. Each point is gathered from the resource values.
     """
     p = cb_set.params
-    total = p.M**p.J
-    if total > max_points:
-        raise CapacityError(f"M^J = {total} exceeds the configured limit {max_points}")
-    b = p.bits_per_symbol
-
-    idx = np.arange(total)
-    tuples = np.empty((total, p.J), dtype=np.int64)
-    for j in range(p.J):
-        tuples[:, j] = (idx // p.M ** (p.J - 1 - j)) % p.M + 1
-
-    # Per-user codeword tables (M, K), channel gains applied.
-    tables = [
-        (np.diag(cb_set.gains[j]) @ cb_set.mappings[j].V @ cb_set.books[j].C).T
-        for j in range(p.J)
-    ]
-    points = np.zeros((total, p.K))
-    for j in range(p.J):
-        points += tables[j][tuples[:, j] - 1]
-
-    labels = np.empty((total, p.J * b), dtype=np.uint8)
-    sym_labels = np.stack([bit_label(m, b) for m in range(1, p.M + 1)])
-    for j in range(p.J):
-        labels[:, j * b : (j + 1) * b] = sym_labels[tuples[:, j] - 1]
-
+    digits = point_digits(p, max_points)
+    L, layout = resource_layout(cb_set)
+    points = np.column_stack([r.values(L)[r.combos(digits)] for r in layout])
+    labels = label_table(p.M)[digits].reshape(len(digits), -1)
     cov = p.varsigma2 * p.sigma2 * points + p.sigma2
     return SuperConstellation(
-        points=points, index_tuples=tuples, bit_labels=labels, covariances=cov
+        points=points, index_tuples=digits + 1, bit_labels=labels, covariances=cov
     )
 
 
@@ -246,15 +307,7 @@ def scale_codebook_set(cb_set: CodebookSet, target_Pe: float) -> CodebookSet:
     books = tuple(
         Codebook(C=b.C * alpha, user_index=b.user_index) for b in cb_set.books
     )
-    old = cb_set.params
-    params = SystemParams(
-        J=old.J, K=old.K, M=old.M, N=old.N,
-        sigma2=old.sigma2, varsigma2=old.varsigma2, Pe=target_Pe,
-    )
-    return CodebookSet(
-        params=params, graph=cb_set.graph, mappings=cb_set.mappings,
-        books=books, gains=cb_set.gains,
-    )
+    return replace(cb_set, params=replace(cb_set.params, Pe=target_Pe), books=books)
 
 
 def codebook_set_from_constellations(

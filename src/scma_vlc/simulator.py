@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -10,8 +10,8 @@ from scipy.special import erfc
 from .decoder import DEFAULT_ITERS, _build_tables, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import ConfigError, DomainError
-from .metrics import resource_structures
 from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
+from .model import point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 DEFAULT_MIN_BIT_ERRORS = 200
@@ -65,15 +65,20 @@ def add_idgn(
 
     Componentwise: y_k ~ N(s_k, sigma2 * (1 + varsigma2 * s_k)). Pass `rng` to
     continue an already-open generator instead of restarting the stream.
+    Raises DomainError for a negative, NaN or infinite intensity.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("signal intensities must be nonnegative")
+    # sqrt is NaN for a negative or NaN entry and inf for +inf, so one
+    # maximum over the roots checks every entry.
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(s)
+    if root.size and not root.max() < np.inf:
+        raise DomainError("signal intensities must be finite and nonnegative")
     if rng is None:
         rng = stream.generator()
     z1 = rng.standard_normal(s.shape) * np.sqrt(varsigma2 * sigma2)
     z0 = rng.standard_normal(s.shape) * np.sqrt(sigma2)
-    return s + np.sqrt(s) * z1 + z0
+    return s + root * z1 + z0
 
 
 def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) -> float:
@@ -84,6 +89,8 @@ def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) 
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
+    if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
+        raise DomainError("superimposed codewords must be finite")
     if np.any(s_i < 0) or np.any(s_j < 0):
         raise DomainError("superimposed codewords must be nonnegative")
     nu = varsigma2 * sigma2 * s_i + sigma2
@@ -113,16 +120,18 @@ def analytical_ber(cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS) ->
     exceeds max_points.
     """
     p = cb_set.params
-    L, resources = resource_structures(cb_set, max_points=max_points)
+    digits = point_digits(p, max_points)
+    L, layout = resource_layout(cb_set)
+    combos = [r.combos(digits) for r in layout]
     # cols[k][a, j] = (v_a - v_b)^2 / (2 nu_a) with b the value of point j on
     # resource k: each block of sent points gathers whole rows of it.
     cols = []
-    for r in resources:
+    for r, a in zip(layout, combos):
         v = r.values(L)
         nu = p.varsigma2 * p.sigma2 * v + p.sigma2
         diff = v[:, None] - v[None, :]
-        cols.append(np.take(diff * diff / (2.0 * nu[:, None]), r.point_combo, axis=1))
-    P = len(resources[0].point_combo)
+        cols.append(np.take(diff * diff / (2.0 * nu[:, None]), a, axis=1))
+    P = len(digits)
     B = min(_BOUND_ROWS, P)
     j = np.arange(P)
     # For a block of rows lo + r with lo a multiple of B, hd splits into a
@@ -130,9 +139,9 @@ def analytical_ber(cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS) ->
     low = _popcount(np.arange(B)[:, None] ^ (j & (B - 1))).astype(float)
     total = 0.0
     for lo in range(0, P, B):
-        arg2 = np.take(cols[0], resources[0].point_combo[lo:lo + B], axis=0)
-        for c, r in zip(cols[1:], resources[1:]):
-            arg2 += np.take(c, r.point_combo[lo:lo + B], axis=0)
+        arg2 = np.take(cols[0], combos[0][lo:lo + B], axis=0)
+        for c, a in zip(cols[1:], combos[1:]):
+            arg2 += np.take(c, a[lo:lo + B], axis=0)
         pep = qfunc(np.sqrt(arg2, out=arg2))
         high = _popcount((lo ^ j) & ~(B - 1))
         # The diagonal needs no masking: hd(i, i) = 0 and Q(0) is finite.
@@ -161,14 +170,6 @@ def simulate_ber(
     p = cb_set.params
     b = p.bits_per_symbol
     tables = _build_tables(cb_set)
-    # Per-user codeword tables (M, K) for fast superposition.
-    user_tables = [
-        (np.diag(cb_set.gains[j]) @ cb_set.mappings[j].V @ cb_set.books[j].C).T
-        for j in range(p.J)
-    ]
-    label_table = np.array(
-        [[(m >> (b - 1 - i)) & 1 for i in range(b)] for m in range(p.M)], dtype=np.uint8
-    )
 
     frames = 0
     errors = 0
@@ -185,14 +186,15 @@ def simulate_ber(
         stream = TrialStream(seed=seed, stream_id=block_id)
         rng = stream.generator()
         syms = rng.integers(0, p.M, size=(T, p.J))  # 0-based symbols
-        s = np.zeros((T, p.K))
-        for j in range(p.J):
-            s += user_tables[j][syms[:, j]]
+        # Superposition: each resource's value gathered by its combination.
+        s = np.empty((T, p.K))
+        for k, r in enumerate(tables.layout):
+            s[:, k] = tables.values[k][r.combos(syms)]
         y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng) if add_noise else s
         _, _, hard, _, _ = max_log_mpa_batch(
             y, cb_set, n_iters, include_logdet=include_logdet, tables=tables
         )
-        sent_bits = label_table[syms]  # (T, J, b)
+        sent_bits = tables.labels[syms]  # (T, J, b)
         bad = hard != sent_bits
         errors += int(bad.sum())
         per_user_errors += bad.sum(axis=(0, 2))
@@ -249,11 +251,7 @@ def sweep(
         if mode == "scale":
             current = scale_codebook_set(cb_set, pe)
         else:
-            dp = design_params
-            params = SystemParams(
-                J=dp.J, K=dp.K, M=dp.M, N=dp.N,
-                sigma2=dp.sigma2, varsigma2=dp.varsigma2, Pe=pe,
-            )
+            params = replace(design_params, Pe=pe)
             current = design(params, design_config or DesignConfig()).set
         points.append(
             simulate_ber(

@@ -137,6 +137,18 @@ class TestSimulateCommand:
             main(["simulate"])
         assert e.value.code == 2
 
+    def test_manifest_records_wall_time_and_environment(self, fixture_file, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert main(["simulate", "--cb", str(fixture_file), "--max-frames", "100",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ber.csv.manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0
+        assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
+        assert manifest["environment"]["numpy"] == np.__version__
+        assert "PCG64" in manifest["generator"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ber.csv", "ber.csv.manifest.json", "ls-j3.scma"]
+
 
 class TestSweepCommand:
     def test_scale_sweep(self, fixture_file, tmp_path):
@@ -147,8 +159,9 @@ class TestSweepCommand:
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
         assert [float(r["pe"]) for r in rows] == [4.0, 6.0]
-        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
-        assert "PCG64" in meta["generator"]
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert "PCG64" in manifest["generator"]
+        assert not (tmp_path / "sweep.csv.meta.json").exists()
 
     def test_bad_pe_list_is_usage_error(self, fixture_file, tmp_path):
         rc = main(["sweep", "--cb", str(fixture_file), "--pe-list", "6,4",

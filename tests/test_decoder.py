@@ -15,7 +15,7 @@ from scma_vlc import (
     simulate_ber,
     simulator,
 )
-from scma_vlc.decoder import loglik_table, max_log_mpa_batch
+from scma_vlc.decoder import OpCounts, loglik_table, max_log_mpa_batch
 from scma_vlc.errors import DimensionError, DomainError
 
 from conftest import random_codebook_set
@@ -196,6 +196,36 @@ class TestOpCounts:
         assert state.op_counts.multiplication == expected.multiplication
         assert state.op_counts.addition == expected.addition
         assert state.op_counts.exponential == expected.exponential
+
+
+def _per_edge_counts(cb_set, n_iters):
+    """Max-Log RN-update counts tallied edge by edge, as the kernel once did."""
+    M = cb_set.params.M
+    counts = OpCounts()
+    for _ in range(n_iters):
+        for users in cb_set.graph.rn_neighbors:
+            d = len(users)
+            for _ in users:
+                counts.comparison += M**d
+                counts.multiplication += 4 * M**d
+                counts.addition += (3 * d + 1) * M**d * d
+    return counts
+
+
+class TestIrregularOpCounts:
+    @pytest.mark.parametrize("name,degrees", [("ls-j3", (2, 2, 1, 1)),
+                                              ("ls-j5", (3, 2, 2, 3))])
+    def test_counts_sum_over_resource_degrees(self, name, degrees):
+        cb = load_fixture(name)
+        assert cb.graph.df_per_rn == degrees
+        for n_iters in (1, 2, 6):
+            state = max_log_mpa(np.ones(4), cb, n_iters=n_iters, count_ops=True)
+            assert state.op_counts == _per_edge_counts(cb, n_iters)
+        # ls-j3, 2 iterations: two degree-2 and two degree-1 resources.
+        if name == "ls-j3":
+            state = max_log_mpa(np.ones(4), cb, n_iters=2, count_ops=True)
+            assert state.op_counts == OpCounts(exponential=0, multiplication=576,
+                                               addition=1856, comparison=144)
 
 
 class TestEarlyExit:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scma_vlc import fixture_names, load_codebook_set, load_fixture, save_codebook_set
-from scma_vlc.errors import ConfigError, DomainError
+from scma_vlc.errors import ConfigError, DimensionError, DomainError
 from scma_vlc.fileio import dumps_codebook_set, loads_codebook_set
 
 
@@ -81,6 +81,15 @@ class TestErrors:
         lines = dumps_codebook_set(ls_j3).splitlines()
         lines[1] = "1 1 1"  # resource row with wrong support pattern
         with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_non_binary_graph_entry(self, ls_j3):
+        # User 1 sits on resources 2 and 4; moving both ones into a single 2
+        # on resource 2 keeps every column sum at N = 2.
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        assert (lines[2], lines[4]) == ("1 0 1", "1 0 0")
+        lines[2], lines[4] = "2 0 1", "0 0 0"
+        with pytest.raises(DimensionError):
             loads_codebook_set("\n".join(lines))
 
     def test_nan_entry(self, ls_j3):

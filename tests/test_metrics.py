@@ -48,6 +48,13 @@ class TestRed:
         with pytest.raises(DomainError):
             red(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            red(np.array([bad, 1.0]), np.array([0.0, 1.0]), 1.0)
+        with pytest.raises(DomainError):
+            red(np.array([0.0, 1.0]), np.array([1.0, bad]), 1.0)
+
 
 class TestStackedVector:
     def test_points_match_enumeration(self, ls_j3):

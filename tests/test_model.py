@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scma_vlc import (
+    FactorGraph,
     SystemParams,
+    TrialStream,
+    add_idgn,
     build_factor_graph,
     codeword,
     enumerate_superimposed,
@@ -11,9 +16,12 @@ from scma_vlc import (
     mapping_from_graph,
     power,
     scale_codebook_set,
+    simulate_ber,
+    simulator,
 )
+from scma_vlc.decoder import _build_tables
 from scma_vlc.errors import CapacityError, DimensionError, DomainError
-from scma_vlc.model import Codebook, bit_label
+from scma_vlc.model import Codebook, bit_label, label_table, resource_layout
 
 
 class TestSystemParams:
@@ -88,6 +96,18 @@ class TestFactorGraph:
             assert g.vn_neighbors[j] == tuple(
                 k + 1 for k in np.flatnonzero(g.F[:, j])
             )
+
+    @pytest.mark.parametrize("F", [[[1, 0], [2, 1]], [[1, 0], [-1, 1]],
+                                   [[0.5, 1.0], [1.0, 0.0]], [1, 0, 1]])
+    def test_rejects_non_binary_matrix(self, F):
+        with pytest.raises(DimensionError):
+            FactorGraph(F=np.array(F))
+
+    def test_neighbor_sets_derived_from_matrix(self):
+        g = FactorGraph(F=np.array([[1, 0, 1], [0, 1, 1]]))
+        assert g.rn_neighbors == ((1, 3), (2, 3))
+        assert g.vn_neighbors == ((1,), (2,), (1, 2))
+        assert g.df_per_rn == (2, 2)
 
 
 class TestMapping:
@@ -225,3 +245,99 @@ class TestCodebookEntries:
         C[1, 2] = bad
         with pytest.raises(DomainError):
             Codebook(C=C, user_index=1)
+
+
+def _decoder_combo_sums(cb_set):
+    """Reference combination sums, built per resource by neighbour position
+    as the decoder built them before the shared layout."""
+    from itertools import product
+
+    p = cb_set.params
+    sums = []
+    for k in range(p.K):
+        js = [j - 1 for j in cb_set.graph.rn_neighbors[k]]
+        combo = np.array(list(product(range(p.M), repeat=len(js))), dtype=np.int64)
+        combo = combo.reshape(p.M ** len(js), len(js))
+        total = np.zeros(len(combo))
+        for pos, j in enumerate(js):
+            n = cb_set.graph.vn_neighbors[j].index(k + 1)
+            total += (cb_set.gains[j][k] * cb_set.books[j].C[n, :])[combo[:, pos]]
+        sums.append(total)
+    return sums
+
+
+def _user_table_superposition(cb_set, syms):
+    """Reference superposition: per-user (M, K) codeword tables summed over users."""
+    p = cb_set.params
+    s = np.zeros((len(syms), p.K))
+    for j in range(p.J):
+        table = (np.diag(cb_set.gains[j]) @ cb_set.mappings[j].V @ cb_set.books[j].C).T
+        s += table[syms[:, j]]
+    return s
+
+
+def _layout_set(name, gains):
+    cb = load_fixture(name)
+    if gains is None:
+        return cb
+    return replace(cb, gains=tuple(np.array(gains) for _ in range(cb.params.J)))
+
+
+_LAYOUT_CASES = [(name, gains) for name in fixture_names()
+                 for gains in (None, (0.5, 1.0, 2.0, 1.0))]
+
+
+class TestSharedLayout:
+    @pytest.mark.parametrize("name,gains", _LAYOUT_CASES)
+    def test_resource_values_match_decoder_combination_sums(self, name, gains):
+        cb = _layout_set(name, gains)
+        L, layout = resource_layout(cb)
+        tables = _build_tables(cb)
+        for k, (r, ref) in enumerate(zip(layout, _decoder_combo_sums(cb))):
+            assert r.users == tuple(j - 1 for j in cb.graph.rn_neighbors[k])
+            np.testing.assert_array_equal(r.values(L), ref)
+            np.testing.assert_array_equal(tables.values[k], ref)
+
+    @pytest.mark.parametrize("name,gains", _LAYOUT_CASES)
+    def test_points_match_user_table_superposition(self, name, gains):
+        cb = _layout_set(name, gains)
+        p = cb.params
+        c = enumerate_superimposed(cb)
+        digits = c.index_tuples - 1
+        np.testing.assert_array_equal(c.points, _user_table_superposition(cb, digits))
+        idx = np.arange(p.M**p.J)
+        for j in range(p.J):
+            np.testing.assert_array_equal(digits[:, j], (idx // p.M ** (p.J - 1 - j)) % p.M)
+        sym_labels = np.stack([bit_label(m, p.bits_per_symbol) for m in range(1, p.M + 1)])
+        np.testing.assert_array_equal(
+            c.bit_labels, np.hstack([sym_labels[digits[:, j]] for j in range(p.J)]))
+        # Point combinations from the digits equal the former per-user radix walk.
+        _, layout = resource_layout(cb)
+        for r, users in zip(layout, cb.graph.rn_neighbors):
+            combo = np.zeros(len(digits), dtype=np.int64)
+            for j in users:
+                combo = combo * p.M + c.index_tuples[:, j - 1] - 1
+            np.testing.assert_array_equal(r.combos(digits), combo)
+
+    @pytest.mark.parametrize("name,gains", _LAYOUT_CASES)
+    def test_simulated_frames_match_user_table_superposition(self, name, gains, monkeypatch):
+        cb = _layout_set(name, gains)
+        p = cb.params
+        sent = []
+
+        def spy(s, *args, **kwargs):
+            sent.append(s.copy())
+            return add_idgn(s, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "add_idgn", spy)
+        simulate_ber(cb, min_bit_errors=None, max_frames=500, seed=9,
+                     compute_analytical=False)
+        syms = TrialStream(seed=9).generator().integers(0, p.M, size=(500, p.J))
+        np.testing.assert_array_equal(sent[0], _user_table_superposition(cb, syms))
+
+    def test_label_table_is_natural_binary(self):
+        for bits in (1, 2, 3):
+            table = label_table(1 << bits)
+            assert table.dtype == np.uint8
+            for m in range(1, (1 << bits) + 1):
+                assert int("".join(str(v) for v in table[m - 1]), 2) == m - 1

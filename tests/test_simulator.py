@@ -78,6 +78,15 @@ class TestAddIdgn:
         with pytest.raises(DomainError):
             add_idgn(np.array([-1.0]), 0.01, 5.0, TrialStream(seed=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("varsigma2", [0.0, 1.0])
+    def test_rejects_non_finite_intensity(self, bad, varsigma2):
+        with pytest.raises(DomainError):
+            add_idgn(np.array([bad, 1.0]), 0.01, varsigma2, TrialStream(seed=0))
+        with pytest.raises(DomainError):
+            add_idgn(np.array([[1.0, 2.0], [3.0, bad]]), 0.01, varsigma2,
+                     TrialStream(seed=0))
+
     def test_mean_and_variance(self):
         # Empirical variance must track sigma2 * (1 + varsigma2 * s).
         sigma2, vs2 = 0.01, 5.0
@@ -116,6 +125,13 @@ class TestPep:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             pep_idgn(np.array([-1.0]), np.array([0.0]), 0.01, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            pep_idgn(np.array([bad, 1.0]), np.array([0.0, 1.0]), 0.01, 1.0)
+        with pytest.raises(DomainError):
+            pep_idgn(np.array([0.0, 1.0]), np.array([1.0, bad]), 0.01, 1.0)
 
 
 class TestAnalyticalBer:
