@@ -16,6 +16,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import scipy
 
 from . import __version__
 from .decoder import joint_map_bruteforce  # noqa: F401  (re-exported debug helper)
-from .decoder import max_log_mpa_batch, op_counts
+from .decoder import graph_op_counts, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, load_codebook_set, save_codebook_set
@@ -167,14 +168,7 @@ def _cmd_decode(args) -> int:
     cb_set = load_codebook_set(cb_path)
     p = cb_set.params
     if args.counts:
-        df = max(cb_set.graph.df_per_rn)
-        counts = op_counts(p.M, df, p.K, args.iters, args.variant)
-        print(json.dumps({
-            "exponential": counts.exponential,
-            "multiplication": counts.multiplication,
-            "addition": counts.addition,
-            "comparison": counts.comparison,
-        }))
+        print(json.dumps(asdict(graph_op_counts(cb_set, args.iters, args.variant))))
         if not args.input:
             return EXIT_OK
     Y = np.loadtxt(args.input, delimiter=",", ndmin=2)

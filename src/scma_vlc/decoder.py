@@ -9,7 +9,8 @@ resource's channel metric is one contiguous (M,)*d + (T,) array, messages are
 reshape. The public batch function takes frames on axis 0; the single-vector
 functions wrap a batch of one. Each resource's users, superimposed values and
 combination order come from model.resource_layout, shared with the designer
-and the union bound.
+and the union bound. On a cycle-free graph the kernel stops after the number
+of flooding iterations that makes every message final, fixed by the graph.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .model import DEFAULT_MAX_POINTS, CodebookSet, ResourceLayout, enumerate_su
 from .model import label_table, resource_layout
 
 DEFAULT_ITERS = 6
-
-_FIXPOINT_TOL = 1e-12
 
 # Largest y^2 / (2 sigma2) a received value y may give; while |y| dominates
 # the intensities this bounds its channel metric. Max-Log messages are not
@@ -71,6 +70,7 @@ class _Tables:
     values: list[np.ndarray]              # per RN, (M^d,) superimposed intensity
     rho2: list[np.ndarray]                # per RN, (M^d,)
     labels: np.ndarray                    # (M, b) natural-binary label of each symbol
+    settle: int | None                    # iterations until every message is final
 
 
 def _build_tables(cb_set: CodebookSet) -> _Tables:
@@ -85,9 +85,20 @@ def _build_tables(cb_set: CodebookSet) -> _Tables:
     rho2 = [p.sigma2 + p.varsigma2 * p.sigma2 * v for v in values]
     if any(np.any(r2 <= 0) for r2 in rho2):
         raise DomainError("nonpositive per-RN variance; intensities must be >= 0")
+    # The flooding iteration after which each message is final, as a message
+    # computed from final inputs is the same float in every iteration: an RN
+    # message one after the latest of its inputs, a VN message with its latest
+    # (a degree-1 VN's prior at 0). On a cycle it stays inf; settle is None.
+    rn_t, vn_t = np.full((2, len(edges)), np.inf)
+    for _ in range(len(edges) + 1):
+        for es in rn_edges:
+            rn_t[es] = [1 + max((vn_t[r] for r in es if r != e), default=0) for e in es]
+        for es in vn_edges:
+            vn_t[es] = [max((rn_t[r] for r in es if r != e), default=0) for e in es]
+    settle = int(rn_t.max()) if np.isfinite(rn_t).all() else None
     return _Tables(
         params=p, layout=layout, edges=edges, rn_edges=rn_edges, vn_edges=vn_edges,
-        values=values, rho2=rho2, labels=label_table(p.M),
+        values=values, rho2=rho2, labels=label_table(p.M), settle=settle,
     )
 
 
@@ -144,9 +155,8 @@ def _logsumexp_marginal(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return out - out.max(axis=0)
 
 
-def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
-                   force_awgn=False, early_exit=True):
-    """Run n_iters flooding iterations on (T, K) received vectors, frames last.
+def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False, force_awgn=False):
+    """Flooding message passing on (T, K) received vectors, frames last.
 
     marginalize(x, axes) reduces an extrinsic tensor over the axes of the
     other neighbours and may overwrite x: np.max for Max-Log,
@@ -154,8 +164,8 @@ def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
     RN->VN and VN->RN messages (E, M, T), edge e being tables.edges[e].
     Terms are added in ascending neighbour position, so with the max
     marginalizer the arithmetic is that of the per-edge gather formulation,
-    bit for bit. The fixpoint early exit stops once no message moves by
-    _FIXPOINT_TOL.
+    bit for bit. Runs min(n_iters, tables.settle) iterations, which give
+    the same result as n_iters.
     """
     p = tables.params
     M, T = p.M, Y.shape[0]
@@ -174,8 +184,9 @@ def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
         for es in tables.rn_edges
     ]
 
+    if tables.settle is not None:
+        n_iters = min(n_iters, tables.settle)
     for _ in range(n_iters):
-        delta = 0.0
         # RN updates from current VN messages. The extrinsic sum for position
         # pos_j is metric + v_0 + ... + v_{d-1} without v_{pos_j}; its terms
         # before pos_j form a prefix shared with the later positions.
@@ -195,10 +206,6 @@ def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
                 new = marginalize(ext, axes) if d > 1 else metric
                 if pos_j < d - 1:
                     prefix = np.add(prefix, views[pos_j], out=prefix_buf)
-                # Once delta reaches the tolerance this iteration is no
-                # fixpoint, so the remaining edges skip the check.
-                if early_exit and delta < _FIXPOINT_TOL:
-                    delta = max(delta, float(np.abs(new - rn[e]).max()))
                 rn[e] = new
         # VN updates from the just-computed RN messages.
         for es in tables.vn_edges:
@@ -207,11 +214,7 @@ def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False,
                 for r in es:
                     if r != e:
                         msg += rn[r]
-                if early_exit and delta < _FIXPOINT_TOL:
-                    delta = max(delta, float(np.abs(msg - vn[e]).max()))
                 vn[e] = msg
-        if early_exit and delta < _FIXPOINT_TOL:
-            break
 
     beliefs = np.full((p.J, M, T), log_prior)
     for j, es in enumerate(tables.vn_edges):
@@ -245,16 +248,14 @@ def max_log_mpa_batch(
     n_iters: int = DEFAULT_ITERS,
     include_logdet: bool = False,
     count_ops: bool = False,
-    early_exit: bool = True,
     force_awgn: bool = False,
     tables: _Tables | None = None,
 ):
     """Max-Log message passing over a batch of received vectors.
 
     Returns (beliefs (T,J,M), llrs (T,J,b), hard bits (T,J,b), messages,
-    OpCounts or None). The counts sum op_counts over the resources' degrees;
-    counting disables the fixpoint early exit so the decoder runs exactly the
-    n_iters iterations counted. Raises DomainError on NaN or inf in Y.
+    OpCounts or None): the same result as n_iters flooding iterations, and
+    graph_op_counts for n_iters. Raises DomainError on NaN or inf in Y.
     """
     p = cb_set.params
     Y = _received(Y, p)
@@ -262,15 +263,8 @@ def max_log_mpa_batch(
         raise DomainError("n_iters must be >= 1")
     if tables is None:
         tables = _build_tables(cb_set)
-    counts = None
-    if count_ops:
-        per_rn = [astuple(op_counts(p.M, d, 1, n_iters, "max_log"))
-                  for d in cb_set.graph.df_per_rn]
-        counts = OpCounts(*map(sum, zip(*per_rn)))
-    beliefs, rn, vn = _pass_messages(
-        Y, tables, n_iters, np.max, include_logdet=include_logdet,
-        force_awgn=force_awgn, early_exit=early_exit and not count_ops,
-    )
+    counts = graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None
+    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn)
     return (*_outputs(beliefs, rn, vn, tables), counts)
 
 
@@ -292,7 +286,6 @@ def max_log_mpa(
     n_iters: int = DEFAULT_ITERS,
     include_logdet: bool = False,
     count_ops: bool = False,
-    early_exit: bool = True,
     force_awgn: bool = False,
 ) -> DecoderState:
     """Decode one received vector with Max-Log message passing.
@@ -303,8 +296,7 @@ def max_log_mpa(
     """
     out = max_log_mpa_batch(
         np.asarray(y, dtype=float)[None, :], cb_set, n_iters,
-        include_logdet=include_logdet, count_ops=count_ops,
-        early_exit=early_exit, force_awgn=force_awgn,
+        include_logdet=include_logdet, count_ops=count_ops, force_awgn=force_awgn,
     )
     return _single_state(*out)
 
@@ -316,11 +308,11 @@ def mpa_linear(
 ) -> DecoderState:
     """Sum-product decoding with the full IDGN Gaussian likelihood.
 
-    Runs the shared log-domain kernel with the log-sum-exp marginalizer for
-    exactly n_iters iterations (0 leaves the beliefs uniform); the beliefs are
-    normalized log posteriors, so no belief can underflow to all-zero.
-    Despite the name, it runs in the log domain. Takes one received vector;
-    a (T, K) batch raises DimensionError.
+    Runs the shared log-domain kernel with the log-sum-exp marginalizer and
+    Max-Log's schedule: the same result as n_iters iterations (0 leaves the
+    beliefs uniform). The beliefs are normalized log posteriors, so no belief
+    can underflow to all-zero. Despite the name, it runs in the log domain.
+    Takes one received vector; a (T, K) batch raises DimensionError.
     """
     p = cb_set.params
     if np.ndim(y) != 1:
@@ -329,9 +321,7 @@ def mpa_linear(
     if n_iters < 0:
         raise DomainError("n_iters must be >= 0")
     tables = _build_tables(cb_set)
-    beliefs, rn, vn = _pass_messages(
-        Y, tables, n_iters, _logsumexp_marginal, include_logdet=True, early_exit=False,
-    )
+    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_marginal, include_logdet=True)
     # Shift before normalizing: the largest belief becomes exactly 0, so the
     # log-sum-exp of the result is 0 to rounding even for huge |beliefs|.
     beliefs -= beliefs.max(axis=1, keepdims=True)
@@ -387,3 +377,10 @@ def op_counts(M: int, d_f: int, K: int, n_iters: int, variant: str) -> OpCounts:
         addition=(3 * d_f + 1) * base * d_f,
         comparison=base,
     )
+
+
+def graph_op_counts(cb_set: CodebookSet, n_iters: int, variant: str) -> OpCounts:
+    """The decoder's RN-update counts: op_counts summed over the resources' degrees."""
+    per_rn = [astuple(op_counts(cb_set.params.M, d, 1, n_iters, variant))
+              for d in cb_set.graph.df_per_rn]
+    return OpCounts(*map(sum, zip(*per_rn)))

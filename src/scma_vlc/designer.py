@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .metrics import (
     StackedVector,
     logsumexp_gradient,
@@ -176,8 +176,14 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
     then a full inner solve at the final beta. Running the early smooth stages
     to convergence instead is counterproductive — their minimizers merge
     superimposed points, and coincident pairs have zero gradient, so later
-    sharp stages can never separate them again.
+    sharp stages can never separate them again. Raises ConfigError when Pe is
+    below N * epsilon_floor^2, the power of a book with every entry at the floor.
     """
+    if params.Pe < params.N * config.epsilon_floor**2:
+        raise ConfigError(
+            f"Pe={params.Pe:g} is below N * epsilon_floor^2 = "
+            f"{params.N * config.epsilon_floor**2:g}; no book meets both the floor and the cap"
+        )
     t0 = time.perf_counter()
     # Uniform placeholder books define the structure (graph, map) once.
     placeholder = codebook_set_from_constellations(

@@ -68,21 +68,22 @@ def loads_codebook_set(text: str) -> CodebookSet:
     if len(lines) != expected:
         raise ConfigError(f"expected {expected} lines, found {len(lines)}")
 
-    F = np.array(
-        [[int(v) for v in lines[1 + k].split()] for k in range(params.K)], dtype=np.int64
-    )
+    # A non-integer graph entry, a non-numeric entry or a ragged row.
+    try:
+        F = np.array(
+            [[int(v) for v in lines[1 + k].split()] for k in range(params.K)], dtype=np.int64
+        )
+        books = [np.array([[float(v) for v in ln.split()] for ln in lines[pos:pos + params.N]])
+                 for pos in range(1 + params.K, expected, params.N)]
+    except ValueError as e:
+        raise ConfigError(f"malformed codebook entries: {e}") from e
     if F.shape != (params.K, params.J):
         raise ConfigError("factor graph block has wrong shape")
     graph = FactorGraph(F=F)
     if np.any(F.sum(axis=0) != params.N):
         raise ConfigError("every factor graph column must have exactly N ones")
-
-    books = []
-    for pos in range(1 + params.K, expected, params.N):
-        C = np.array([[float(v) for v in ln.split()] for ln in lines[pos:pos + params.N]])
-        if C.shape != (params.N, params.M):
-            raise ConfigError("constellation block has wrong shape")
-        books.append(C)
+    if any(C.shape != (params.N, params.M) for C in books):
+        raise ConfigError("constellation block has wrong shape")
 
     mappings = tuple(mapping_from_graph(graph, j) for j in range(1, params.J + 1))
     return CodebookSet(

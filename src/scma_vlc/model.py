@@ -137,9 +137,10 @@ class CodebookSet:
         if self.gains is None:
             ones = tuple(np.ones(self.params.K) for _ in range(self.params.J))
             object.__setattr__(self, "gains", ones)
+        # Every consumer reads a user's resources in ascending order, so the
+        # mapping must be the one the graph gives, not only the same support.
         for j in range(self.params.J):
-            col = np.diag(self.mappings[j].V @ self.mappings[j].V.T)
-            if not np.array_equal(col, self.graph.F[:, j]):
+            if not np.array_equal(self.mappings[j].V, mapping_from_graph(self.graph, j + 1).V):
                 raise DimensionError(f"mapping of user {j + 1} inconsistent with graph")
 
 

@@ -1,10 +1,11 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from scma_vlc import enumerate_superimposed, load_codebook_set, load_fixture
+from scma_vlc import enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa
 from scma_vlc.cli import main
 
 
@@ -77,6 +78,18 @@ class TestDecodeCommand:
         assert rc == 0
         counts = json.loads(capsys.readouterr().out.splitlines()[0])
         assert counts["comparison"] > 0 and counts["exponential"] == 0
+        # ls-j3 has resource degrees (2, 2, 1, 1); the printed counts are
+        # the decoder's own, not those of a regular degree-2 graph.
+        state = max_log_mpa(np.ones(4), load_fixture("ls-j3"), n_iters=6, count_ops=True)
+        assert counts == asdict(state.op_counts)
+        assert (counts["comparison"], counts["multiplication"], counts["addition"]) == (
+            432, 1728, 5568)
+        # Sum-product: one exponential per combination and edge, 4^2*2*2 + 4*1*2
+        # per iteration.
+        main(["decode", "--cb", str(fixture_file), "--counts", "--iters", "6",
+              "--variant", "mpa"])
+        counts = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert (counts["exponential"], counts["comparison"]) == (6 * 72, 0)
 
     def test_decodes_noise_free_vectors(self, fixture_file, tmp_path):
         cb = load_fixture("ls-j3")

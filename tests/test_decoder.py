@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scma_vlc import (
     SystemParams,
     TrialStream,
     add_idgn,
+    decoder,
     enumerate_superimposed,
     joint_map_bruteforce,
     load_fixture,
@@ -230,12 +233,15 @@ class TestIrregularOpCounts:
 
 class TestEarlyExit:
     def test_same_answer_with_and_without(self, ls_j3):
+        # ls-j3 is cycle-free, so the decoder stops after 3 of the 6
+        # iterations; the reference runs all 6.
         rng = np.random.default_rng(9)
         c = enumerate_superimposed(ls_j3)
         Y = c.points[rng.integers(0, 64, size=10)] + 0.1 * rng.standard_normal((10, 4))
-        a = max_log_mpa_batch(Y, ls_j3, early_exit=True)
-        b = max_log_mpa_batch(Y, ls_j3, early_exit=False)
-        np.testing.assert_array_equal(a[2], b[2])
+        a = max_log_mpa_batch(Y, ls_j3)
+        b = _gather_max_log(Y, ls_j3, early_exit=False)
+        for i in range(3):  # beliefs, llrs, hard bits
+            np.testing.assert_array_equal(a[i], b[i])
 
 
 class TestHeterogeneousDegrees:
@@ -401,11 +407,12 @@ class TestGoldenMaxLog:
         Y = np.vstack([_noisy_vectors(cb, 300, seed=11), c.points[:20]])
         for include_logdet in (False, True):
             for force_awgn in (False, True):
+                kw = dict(include_logdet=include_logdet, force_awgn=force_awgn)
+                got = max_log_mpa_batch(Y, cb, **kw)
+                # One decoder matches the reference with its measured fixpoint
+                # exit and with all iterations run.
                 for early_exit in (False, True):
-                    kw = dict(include_logdet=include_logdet, force_awgn=force_awgn,
-                              early_exit=early_exit)
-                    got = max_log_mpa_batch(Y, cb, **kw)
-                    ref = _gather_max_log(Y, cb, **kw)
+                    ref = _gather_max_log(Y, cb, early_exit=early_exit, **kw)
                     for i in range(3):  # beliefs, llrs, hard bits
                         np.testing.assert_array_equal(got[i], ref[i])
                     for got_msgs, ref_msgs in zip(got[3], ref[3]):
@@ -426,6 +433,59 @@ class TestGoldenMaxLog:
         assert (got.pe, got.bits_sent, got.bit_errors, got.ber_sim, got.ci95_halfwidth) == (
             ref.pe, ref.bits_sent, ref.bit_errors, ref.ber_sim, ref.ci95_halfwidth)
         np.testing.assert_array_equal(got.per_user_ber, ref.per_user_ber)
+
+
+_CYCLE_FREE = ["ls-j3", "dr-j3", "random-j1", "random-j2"]
+
+
+def _uncapped(monkeypatch):
+    """Make the decoders run every requested iteration, as on a graph with a cycle."""
+    build = decoder._build_tables
+    monkeypatch.setattr(decoder, "_build_tables",
+                        lambda cb_set: replace(build(cb_set), settle=None))
+
+
+class TestSettleCount:
+    @pytest.mark.parametrize("name,settle", [
+        ("ls-j3", 3), ("dr-j3", 3), ("random-j1", 1), ("random-j2", 1),
+        ("ls-j4", None), ("ls-j5", None), ("ls-j6", None),
+    ])
+    def test_count_from_graph(self, name, settle):
+        assert decoder._build_tables(_golden_set(name)).settle == settle
+
+    @pytest.mark.parametrize("name", _CYCLE_FREE)
+    def test_max_log_final_at_settle(self, name, monkeypatch):
+        cb = _golden_set(name)
+        settle = decoder._build_tables(cb).settle
+        Y = _noisy_vectors(cb, 200, seed=5)
+        for include_logdet in (False, True):
+            for force_awgn in (False, True):
+                kw = dict(include_logdet=include_logdet, force_awgn=force_awgn)
+                got = max_log_mpa_batch(Y, cb, n_iters=settle, **kw)
+                with monkeypatch.context() as m:
+                    _uncapped(m)
+                    ref = max_log_mpa_batch(Y, cb, n_iters=50, **kw)
+                for i in range(3):  # beliefs, llrs, hard bits
+                    np.testing.assert_array_equal(got[i], ref[i])
+                for got_msgs, ref_msgs in zip(got[3], ref[3]):
+                    for e in ref_msgs:
+                        np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+    @pytest.mark.parametrize("name", _CYCLE_FREE)
+    def test_sum_product_final_at_settle(self, name, monkeypatch):
+        cb = _golden_set(name)
+        settle = decoder._build_tables(cb).settle
+        for y in _noisy_vectors(cb, 5, seed=6):
+            got = mpa_linear(y, cb, n_iters=settle)
+            with monkeypatch.context() as m:
+                _uncapped(m)
+                ref = mpa_linear(y, cb, n_iters=50)
+            np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+            np.testing.assert_array_equal(got.llrs, ref.llrs)
+            for got_msgs, ref_msgs in ((got.rn_to_vn, ref.rn_to_vn),
+                                       (got.vn_to_rn, ref.vn_to_rn)):
+                for e in ref_msgs:
+                    np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
 
 
 class TestLogDomainSumProduct:
@@ -488,7 +548,7 @@ class TestHugeInput:
     def test_largest_accepted_value_keeps_llrs_finite(self):
         cb = load_fixture("ls-j6")
         y = np.sqrt(2.0 * cb.params.sigma2 * 1e150) * np.array([1.0, -1.0, 1.0, 0.0])
-        state = max_log_mpa(y, cb, n_iters=200, early_exit=False)
+        state = max_log_mpa(y, cb, n_iters=200)
         assert np.all(np.isfinite(state.llrs))
         with pytest.raises(DomainError):
             max_log_mpa(1.001 * y, cb)

@@ -10,6 +10,7 @@ from scma_vlc import (
     random_init,
 )
 from scma_vlc.designer import _pgd_step, inner_solve
+from scma_vlc.errors import ConfigError
 from scma_vlc.metrics import logsumexp_objective, stack_codebook_set
 
 PARAMS = SystemParams(J=3, sigma2=0.01, varsigma2=5.0, Pe=30.0)
@@ -175,6 +176,18 @@ class TestDesign:
     def test_wall_time_positive(self):
         r = design(PARAMS, FAST)
         assert r.wall_time > 0
+
+    def test_cap_below_floor_power_is_config_error(self):
+        # Every entry at the 0.01 floor already needs N * 0.01^2 = 2e-4.
+        with pytest.raises(ConfigError):
+            design(SystemParams(J=3, Pe=1e-4), FAST)
+
+    def test_cap_above_floor_power_meets_floor(self):
+        params = SystemParams(J=3, Pe=3e-4)
+        r = design(params, FAST)
+        for book in r.set.books:
+            assert np.all(book.C >= 0.01 - 1e-12)
+            assert power(book) <= params.Pe + 1e-12
 
 
 class TestStepUnderflow:

@@ -107,6 +107,27 @@ class TestErrors:
         with pytest.raises(DomainError):
             loads_codebook_set("\n".join(lines))
 
+    def test_non_integer_graph_entry(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        assert lines[1] == "0 1 1"
+        lines[1] = "0 1 0.5"
+        with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_ragged_constellation_row(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        lines[5] = " ".join(lines[5].split()[:2])
+        with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_non_numeric_entry(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        row = lines[5].split()
+        row[1] = "abc"
+        lines[5] = " ".join(row)
+        with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
     def test_missing_header_field(self, ls_j3):
         lines = dumps_codebook_set(ls_j3).splitlines()
         header = json.loads(lines[0])

@@ -21,7 +21,7 @@ from scma_vlc import (
 )
 from scma_vlc.decoder import _build_tables
 from scma_vlc.errors import CapacityError, DimensionError, DomainError
-from scma_vlc.model import Codebook, bit_label, label_table, resource_layout
+from scma_vlc.model import Codebook, MappingMatrix, bit_label, label_table, resource_layout
 
 
 class TestSystemParams:
@@ -122,6 +122,15 @@ class TestMapping:
         g = build_factor_graph(4, 3, 2)
         with pytest.raises(IndexError):
             mapping_from_graph(g, 4)
+
+    def test_swapped_columns_rejected(self, ls_j3):
+        # Same support, resources in descending order: codeword() would read
+        # the rows swapped while every other consumer reads them ascending.
+        V = ls_j3.mappings[0].V
+        assert np.array_equal(np.diag(V @ V.T), np.diag(V[:, ::-1] @ V[:, ::-1].T))
+        mappings = (MappingMatrix(V=V[:, ::-1]),) + ls_j3.mappings[1:]
+        with pytest.raises(DimensionError):
+            replace(ls_j3, mappings=mappings)
 
 
 class TestCodeword:
