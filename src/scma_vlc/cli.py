@@ -30,7 +30,7 @@ from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, load_codebook_set, save_codebook_set
 from .fixtures import fixture_names, load_fixture
-from .metrics import epd_ellipses, pairwise_report, red
+from .metrics import epd_ellipses, pairwise_report, stack_codebook_set
 from .model import SystemParams, enumerate_superimposed
 from .simulator import simulate_ber, sweep
 
@@ -138,10 +138,10 @@ def _cmd_analyze(args) -> int:
         with out.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["pair_i", "pair_j", "red"])
-            pts = constellation.points
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    w.writerow([i + 1, j + 1, repr(red(pts[i], pts[j], vs2))])
+            P = len(constellation.points)
+            pairs = ((i, j) for i in range(1, P + 1) for j in range(i + 1, P + 1))
+            d = stack_codebook_set(cb_set).distances(vs2).tolist()
+            w.writerows([i, j, repr(x)] for (i, j), x in zip(pairs, d))
         _write_manifest(out, "analyze", _config_dict(args), [cb_path], started)
     if args.ellipses_csv:
         out = Path(args.ellipses_csv)

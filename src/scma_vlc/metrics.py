@@ -1,13 +1,14 @@
 """Distance geometry of the superimposed constellation.
 
 Implements the shot-noise-rotated squared distance between superimposed
-codewords, brute-force min/max scans, the smoothed maxi-min objective with
-its analytic gradient, and equal-probability-density ellipse analytics.
+codewords, its min/max over all point pairs, the smoothed maxi-min objective
+with its analytic gradient, and equal-probability-density ellipse analytics.
 
-The objective and gradient use the per-resource structure of the points:
-a resource takes only M^d distinct values (d users on it), so every pair
-distance is a sum of entries of small per-resource tables, gathered through
-pair indices that are built once per codebook structure. The resource
+Every pair distance is a sum over resources of entries of small per-resource
+tables: a resource takes only a few distinct values (M^d with d users on it),
+so one gather adds the table entries of all pairs through pair indices. The
+designer builds those indices once per codebook structure; pairwise_report
+builds them from the distinct values of each column of the points. The resource
 layout itself (users, L columns, gains, combination indices) comes from
 model.resource_layout, which the decoder and the union bound read too.
 """
@@ -15,23 +16,18 @@ model.resource_layout, which the decoder and the union bound read too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, log
+from math import log
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedError
-from .model import Codebook, CodebookSet, ResourceLayout, SuperConstellation
-from .model import point_digits, resource_layout
+from .model import DEFAULT_MAX_POINTS, Codebook, CodebookSet, ResourceLayout
+from .model import SuperConstellation, point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 # 95% quantile of the chi-square distribution with 2 degrees of freedom,
 # as conventionally quoted to 4 significant digits.
 CHI2_2_Q95 = 5.991
-
-DEFAULT_PAIR_BUDGET = comb(4096, 2)
-
-# Pair blocks processed at a time in large scans (bounds peak memory).
-_PAIR_CHUNK = 500_000
 
 # Pairs per gather and bincount over the static pair indices. numpy widens
 # each index block to intp (8 bytes per pair), so this bounds that temporary;
@@ -41,28 +37,15 @@ _GATHER_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class ResourceStructure:
-    """One resource's layout plus the designer's point and pair indices.
+    """One resource's layout plus the designer's pair indices.
 
-    point_combo[i] is the combination (in the layout's mixed radix) of
-    superimposed point i, and pair_flat[p] = a(i) * Q + a(j) for the p-th
-    unordered pair i < j in np.triu_indices order, stored in the smallest
-    unsigned dtype.
+    pair_flat[p] = a(i) * Q + a(j) for the p-th unordered pair i < j in
+    np.triu_indices order, where a(i) is the combination (in the layout's
+    mixed radix) of superimposed point i; stored in the smallest unsigned dtype.
     """
 
     layout: ResourceLayout
-    point_combo: np.ndarray
     pair_flat: np.ndarray
-
-    def table_parts(self, L: np.ndarray, varsigma2: float):
-        """(diff, g, root) of the Q x Q distance table diff^2 / root.
-
-        diff[a, b] = v_a - v_b, g = varsigma2 * v + 1 and root[a, b] =
-        sqrt(g_a * g_b), the operands of the pairwise rotated distance.
-        """
-        v = self.layout.values(L)
-        g = varsigma2 * v + 1.0
-        diff = v[:, None] - v[None, :]
-        return diff, g, np.sqrt(g[:, None] * g[None, :])
 
 
 @dataclass(frozen=True)
@@ -80,42 +63,20 @@ class StackedVector:
     L: np.ndarray
     resources: tuple[ResourceStructure, ...]
     n_points: int
-    K: int
     _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def points(self) -> np.ndarray:
-        return np.column_stack(
-            [r.layout.values(self.L)[r.point_combo] for r in self.resources]
-        )
-
     def replace(self, L: np.ndarray) -> "StackedVector":
-        return StackedVector(
-            L=L, resources=self.resources, n_points=self.n_points, K=self.K
-        )
+        return StackedVector(L=L, resources=self.resources, n_points=self.n_points)
 
     def distances(self, varsigma2: float) -> np.ndarray:
-        """Read-only rotated distances of all unordered point pairs (triu order).
-
-        Terms are added in resource order, which reproduces the row sums of
-        the pairwise computation bit for bit.
-        """
+        """Read-only rotated distances of all unordered point pairs (triu order)."""
         d = self._distances.get(varsigma2)
         if d is None:
             tables = []
             for r in self.resources:
-                diff, _, root = r.table_parts(self.L, varsigma2)
+                diff, _, root = _table_parts(r.layout.values(self.L), varsigma2)
                 tables.append(diff * diff / root)
-            parts = []
-            for lo in range(0, len(self.resources[0].pair_flat), _GATHER_CHUNK):
-                part = None
-                for r, table in zip(self.resources, tables):
-                    term = np.take(table, r.pair_flat[lo:lo + _GATHER_CHUNK])
-                    if part is None:
-                        part = term
-                    else:
-                        part += term
-                parts.append(part)
-            d = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            d = _gather(tables, [r.pair_flat for r in self.resources])
             d.flags.writeable = False
             self._distances.clear()
             self._distances[varsigma2] = d
@@ -144,12 +105,11 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
     """Build the StackedVector of a codebook set (L entries and resource structure)."""
     L, layout = resource_layout(cb_set)
     digits = point_digits(cb_set.params)
-    combos = [r.combos(digits) for r in layout]
     resources = tuple(
-        ResourceStructure(layout=r, point_combo=a, pair_flat=_pair_flat(a, len(r.cols)))
-        for r, a in zip(layout, combos)
+        ResourceStructure(layout=r, pair_flat=_pair_flat(r.combos(digits), len(r.cols)))
+        for r in layout
     )
-    return StackedVector(L=L, resources=resources, n_points=len(digits), K=cb_set.params.K)
+    return StackedVector(L=L, resources=resources, n_points=len(digits))
 
 
 def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
@@ -162,6 +122,31 @@ def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
         out[lo:hi] = a[i] * Q + a[i + 1:]
         lo = hi
     return out
+
+
+def _table_parts(v: np.ndarray, varsigma2: float):
+    """(diff, g, root) of the Q x Q distance table diff^2 / root of values v.
+
+    diff[a, b] = v_a - v_b, g = varsigma2 * v + 1 and root[a, b] =
+    sqrt(g_a * g_b), the operands of the pairwise rotated distance.
+    """
+    g = varsigma2 * v + 1.0
+    diff = v[:, None] - v[None, :]
+    return diff, g, np.sqrt(g[:, None] * g[None, :])
+
+
+def _gather(tables: list[np.ndarray], pair_flats: list[np.ndarray]) -> np.ndarray:
+    """Pair distances sum_k tables[k].flat[pair_flats[k]], chunked over pairs.
+
+    Terms are added in resource order; that order defines the result (it is
+    also the order of red's sum over resources).
+    """
+    d = np.zeros(len(pair_flats[0]))
+    for lo in range(0, len(d), _GATHER_CHUNK):
+        part = d[lo:lo + _GATHER_CHUNK]
+        for table, flat in zip(tables, pair_flats):
+            part += np.take(table, flat[lo:lo + _GATHER_CHUNK])
+    return d
 
 
 def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
@@ -184,40 +169,31 @@ def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     return float(np.sum(d * d / g))
 
 
-def _pair_distances(points: np.ndarray, varsigma2: float,
-                    ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    g = varsigma2 * points + 1.0
-    diff = points[ii] - points[jj]
-    return np.sum(diff * diff / np.sqrt(g[ii] * g[jj]), axis=1)
-
-
 def pairwise_report(
-    constellation: SuperConstellation,
-    varsigma2: float,
-    bins: int | None = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    constellation: SuperConstellation, varsigma2: float, bins: int | None = None
 ) -> DistanceReport:
-    """d_min/d_max of the rotated distance over all unordered point pairs."""
-    points = constellation.points
+    """d_min/d_max of the rotated distance over all unordered point pairs.
+
+    Each column of the points becomes one table over its distinct values, and
+    the pair distances are gathered from those tables as the designer's are.
+    Raises CapacityError above DEFAULT_MAX_POINTS points.
+    """
+    points = np.asarray(constellation.points, dtype=float)
     P = len(points)
-    n_pairs = P * (P - 1) // 2
-    if n_pairs > pair_budget:
-        raise CapacityError(f"{n_pairs} pairs exceed the budget {pair_budget}")
-    ii, jj = np.triu_indices(P, k=1)
-    d_min, d_max = np.inf, -np.inf
-    hist_counts = hist_edges = None
-    all_d = [] if bins is not None else None
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        d = _pair_distances(points, varsigma2, ii[lo:hi], jj[lo:hi])
-        d_min = min(d_min, float(d.min()))
-        d_max = max(d_max, float(d.max()))
-        if all_d is not None:
-            all_d.append(d)
-    if all_d is not None:
-        hist_counts, hist_edges = np.histogram(np.concatenate(all_d), bins=bins)
-    histogram = (hist_counts, hist_edges) if bins is not None else None
-    return DistanceReport(d_min=d_min, d_max=d_max, pair_count=n_pairs, histogram=histogram)
+    if P > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"{P} points exceed the limit {DEFAULT_MAX_POINTS}")
+    if P < 2:
+        raise DomainError("a distance report needs at least two points")
+    tables, pair_flats = [], []
+    for column in points.T:
+        v, a = np.unique(column, return_inverse=True)
+        diff, _, root = _table_parts(v, varsigma2)
+        tables.append(diff * diff / root)
+        pair_flats.append(_pair_flat(a, len(v)))
+    d = _gather(tables, pair_flats)
+    histogram = np.histogram(d, bins=bins) if bins is not None else None
+    return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
+                          pair_count=len(d), histogram=histogram)
 
 
 def _check_stacked(L: StackedVector, beta: float):
@@ -265,7 +241,7 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
             hi = lo + _GATHER_CHUNK
             W += np.bincount(r.pair_flat[lo:hi], weights=w[lo:hi], minlength=Q * Q)
         W = W.reshape(Q, Q)
-        diff, g, root = r.table_parts(L.L, varsigma2)
+        diff, g, root = _table_parts(r.layout.values(L.L), varsigma2)
         # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
         # weights of the pairs where it is the first or the second point.
         dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, None] * root)

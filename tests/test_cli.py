@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scma_vlc import enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa
+from scma_vlc import enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, red
 from scma_vlc.cli import main
 
 
@@ -70,6 +70,18 @@ class TestAnalyzeCommand:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["analyze", "--cb", str(tmp_path / "absent.scma")]) == 2
+
+    def test_pairs_csv(self, fixture_file, tmp_path):
+        out = tmp_path / "pairs.csv"
+        assert main(["analyze", "--cb", str(fixture_file), "--pairs-csv", str(out)]) == 0
+        rows = list(csv.reader(out.open()))
+        assert rows[0] == ["pair_i", "pair_j", "red"]
+        cb = load_codebook_set(fixture_file)
+        pts = enumerate_superimposed(cb).points
+        expected = [[str(i + 1), str(j + 1), repr(red(pts[i], pts[j], cb.params.varsigma2))]
+                    for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        assert len(expected) == 2016
+        assert rows[1:] == expected
 
 
 class TestDecodeCommand:

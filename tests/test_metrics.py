@@ -13,9 +13,48 @@ from scma_vlc import (
 )
 from scma_vlc import metrics
 from scma_vlc.errors import CapacityError, DomainError, UnsupportedError
-from scma_vlc.metrics import _PAIR_CHUNK, CHI2_2_Q95, _pair_distances
+from scma_vlc.metrics import CHI2_2_Q95
+from scma_vlc.model import SuperConstellation
 
 from conftest import random_codebook_set
+
+FIXTURES = ["dr-j3", "ls-j3", "ls-j4", "ls-j5", "ls-j6"]
+
+# Reference copy of the pairwise formula that the per-resource gather
+# replaced: pairs come from np.triu_indices, chunked to bound memory, and each
+# row of per-component terms is reduced with np.sum.
+_PAIR_CHUNK = 500_000
+
+
+def _pair_distances(points, varsigma2, ii, jj):
+    g = varsigma2 * points + 1.0
+    diff = points[ii] - points[jj]
+    return np.sum(diff * diff / np.sqrt(g[ii] * g[jj]), axis=1)
+
+
+def _reference_distances(points, varsigma2):
+    ii, jj = np.triu_indices(len(points), k=1)
+    return np.concatenate([
+        _pair_distances(points, varsigma2, ii[lo:lo + _PAIR_CHUNK], jj[lo:lo + _PAIR_CHUNK])
+        for lo in range(0, len(ii), _PAIR_CHUNK)
+    ])
+
+
+def _constellation(points):
+    P = len(points)
+    return SuperConstellation(points=points, index_tuples=np.ones((P, 1), dtype=int),
+                              bit_labels=np.zeros((P, 1), dtype=np.uint8),
+                              covariances=np.ones_like(points))
+
+
+def assert_report_equals_reference(constellation, varsigma2, bins=10):
+    ref = _reference_distances(constellation.points, varsigma2)
+    rep = pairwise_report(constellation, varsigma2, bins=bins)
+    assert rep.pair_count == len(ref)
+    assert rep.d_min == ref.min() and rep.d_max == ref.max()
+    counts, edges = np.histogram(ref, bins=bins)
+    np.testing.assert_array_equal(rep.histogram[0], counts)
+    np.testing.assert_array_equal(rep.histogram[1], edges)
 
 
 class TestRed:
@@ -57,20 +96,10 @@ class TestRed:
 
 
 class TestStackedVector:
-    def test_points_match_enumeration(self, ls_j3):
-        sv = stack_codebook_set(ls_j3)
-        c = enumerate_superimposed(ls_j3)
-        np.testing.assert_allclose(sv.points(), c.points, atol=1e-12)
-
     def test_l_layout(self, ls_j3):
         sv = stack_codebook_set(ls_j3)
         manual = np.concatenate([b.C.reshape(-1) for b in ls_j3.books])
         np.testing.assert_array_equal(sv.L, manual)
-
-    def test_replace_keeps_map(self, ls_j3):
-        sv = stack_codebook_set(ls_j3)
-        doubled = sv.replace(2.0 * sv.L)
-        np.testing.assert_allclose(doubled.points(), 2.0 * sv.points())
 
 
 class TestPairwiseReport:
@@ -96,9 +125,19 @@ class TestPairwiseReport:
         assert counts.sum() == rep.pair_count
         assert len(edges) == 11
 
-    def test_pair_budget(self, ls_j3):
+    def test_too_many_points(self):
         with pytest.raises(CapacityError):
-            pairwise_report(enumerate_superimposed(ls_j3), 5.0, pair_budget=100)
+            pairwise_report(_constellation(np.ones((4097, 4))), 5.0)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_bitwise_equal_reference(self, name):
+        c = enumerate_superimposed(load_fixture(name))
+        for varsigma2 in (0.0, 1.0, 5.0, 7.3):
+            assert_report_equals_reference(c, varsigma2)
+
+    def test_rejects_single_point(self):
+        with pytest.raises(DomainError):
+            pairwise_report(_constellation(np.ones((1, 4))), 5.0)
 
 
 class TestLogsumexpObjective:
@@ -189,7 +228,7 @@ def _old_gradient(cb_set, beta, varsigma2):
 
 
 class TestStructuralKernel:
-    @pytest.mark.parametrize("name", ["dr-j3", "ls-j3", "ls-j4", "ls-j5", "ls-j6"])
+    @pytest.mark.parametrize("name", FIXTURES)
     def test_distances_bitwise_equal_pairwise(self, name):
         cb = load_fixture(name)
         sv = stack_codebook_set(cb)
