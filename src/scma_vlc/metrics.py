@@ -16,7 +16,7 @@ model.resource_layout, which the decoder and the union bound read too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
@@ -149,6 +149,11 @@ def _gather(tables: list[np.ndarray], pair_flats: list[np.ndarray]) -> np.ndarra
     return d
 
 
+def _check_varsigma2(varsigma2: float) -> None:
+    if not (isfinite(varsigma2) and varsigma2 >= 0):
+        raise DomainError(f"varsigma2 must be finite and >= 0, got {varsigma2}")
+
+
 def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     """Rotated squared distance between two superimposed codewords.
 
@@ -156,6 +161,7 @@ def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     two points' shot-noise factors (varsigma2 * s + 1); varsigma2 = 0 recovers
     the plain squared Euclidean distance.
     """
+    _check_varsigma2(varsigma2)
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
     if s_i.shape != s_j.shape:
@@ -178,12 +184,15 @@ def pairwise_report(
     the pair distances are gathered from those tables as the designer's are.
     Raises CapacityError above DEFAULT_MAX_POINTS points.
     """
+    _check_varsigma2(varsigma2)
     points = np.asarray(constellation.points, dtype=float)
     P = len(points)
     if P > DEFAULT_MAX_POINTS:
         raise CapacityError(f"{P} points exceed the limit {DEFAULT_MAX_POINTS}")
     if P < 2:
         raise DomainError("a distance report needs at least two points")
+    if not np.isfinite(points).all() or np.any(points < 0):
+        raise DomainError("superimposed codewords must be finite and nonnegative")
     tables, pair_flats = [], []
     for column in points.T:
         v, a = np.unique(column, return_inverse=True)
@@ -196,9 +205,10 @@ def pairwise_report(
                           pair_count=len(d), histogram=histogram)
 
 
-def _check_stacked(L: StackedVector, beta: float):
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
+def _check_stacked(L: StackedVector, beta: float, varsigma2: float):
+    if not (isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
+    _check_varsigma2(varsigma2)
     if np.any(L.L < 0):
         raise DomainError("stacked constellation entries must be nonnegative")
 
@@ -216,7 +226,7 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
     Returns (1/beta) * ln sum_{i<j} exp(-beta * d_ij); the exponent is shifted
     by the minimum distance before summation so beta * d overflow cannot occur.
     """
-    _check_stacked(L, beta)
+    _check_stacked(L, beta, varsigma2)
     d = L.distances(varsigma2)
     return float(np.log(np.sum(_shifted_exp(d, beta))) / beta - d.min())
 
@@ -228,7 +238,7 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     chained through the table's derivative in the resource values, and the
     value gradients are binned onto the entries of L.
     """
-    _check_stacked(L, beta)
+    _check_stacked(L, beta, varsigma2)
     w = _shifted_exp(L.distances(varsigma2), beta)
     w /= w.sum()
 

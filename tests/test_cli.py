@@ -83,6 +83,12 @@ class TestAnalyzeCommand:
         assert len(expected) == 2016
         assert rows[1:] == expected
 
+    @pytest.mark.parametrize("varsigma2", ["nan", "inf", "-1"])
+    def test_bad_varsigma2_is_usage_error(self, fixture_file, capsys, varsigma2):
+        assert main(["analyze", "--cb", str(fixture_file), "--varsigma2", varsigma2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestDecodeCommand:
     def test_counts_only(self, fixture_file, capsys):

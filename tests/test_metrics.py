@@ -94,6 +94,11 @@ class TestRed:
         with pytest.raises(DomainError):
             red(np.array([0.0, 1.0]), np.array([1.0, bad]), 1.0)
 
+    @pytest.mark.parametrize("varsigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_varsigma2(self, varsigma2):
+        with pytest.raises(DomainError):
+            red(np.array([1.0, 0.0]), np.array([0.0, 1.0]), varsigma2)
+
 
 class TestStackedVector:
     def test_l_layout(self, ls_j3):
@@ -135,6 +140,18 @@ class TestPairwiseReport:
         for varsigma2 in (0.0, 1.0, 5.0, 7.3):
             assert_report_equals_reference(c, varsigma2)
 
+    @pytest.mark.parametrize("varsigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_varsigma2(self, ls_j3, varsigma2):
+        with pytest.raises(DomainError):
+            pairwise_report(enumerate_superimposed(ls_j3), varsigma2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_points(self, bad):
+        points = np.ones((4, 2))
+        points[2, 1] = bad
+        with pytest.raises(DomainError):
+            pairwise_report(_constellation(points), 5.0)
+
     def test_rejects_single_point(self):
         with pytest.raises(DomainError):
             pairwise_report(_constellation(np.ones((1, 4))), 5.0)
@@ -160,6 +177,22 @@ class TestLogsumexpObjective:
         sv = stack_codebook_set(ls_j3)
         with pytest.raises(DomainError):
             logsumexp_objective(sv, 0.0, 5.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_rejects_non_finite_beta(self, ls_j3, beta):
+        sv = stack_codebook_set(ls_j3)
+        with pytest.raises(DomainError):
+            logsumexp_objective(sv, beta, 5.0)
+        with pytest.raises(DomainError):
+            logsumexp_gradient(sv, beta, 5.0)
+
+    @pytest.mark.parametrize("varsigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_varsigma2(self, ls_j3, varsigma2):
+        sv = stack_codebook_set(ls_j3)
+        with pytest.raises(DomainError):
+            logsumexp_objective(sv, 10.0, varsigma2)
+        with pytest.raises(DomainError):
+            logsumexp_gradient(sv, 10.0, varsigma2)
 
     def test_no_overflow_at_large_beta(self, ls_j3):
         sv = stack_codebook_set(ls_j3)
