@@ -28,7 +28,7 @@ from .decoder import joint_map_bruteforce  # noqa: F401  (re-exported debug help
 from .decoder import graph_op_counts, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
-from .fileio import dumps_codebook_set, load_codebook_set, save_codebook_set
+from .fileio import dumps_codebook_set, json_field, load_codebook_set, save_codebook_set
 from .fixtures import fixture_names, load_fixture
 from .metrics import epd_ellipses, pairwise_report, stack_codebook_set
 from .model import SystemParams, enumerate_superimposed
@@ -196,16 +196,20 @@ def _cmd_decode(args) -> int:
 
 def _load_design_spec(path: str) -> tuple[SystemParams, DesignConfig]:
     spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise ConfigError("a design spec must be a JSON object")
     params = SystemParams(
-        J=int(spec["J"]), K=int(spec.get("K", 4)), M=int(spec.get("M", 4)),
-        N=int(spec.get("N", 2)), sigma2=float(spec.get("sigma2", 0.01)),
-        varsigma2=float(spec.get("varsigma2", 0.0)), Pe=float(spec.get("Pe", 30.0)),
+        J=json_field(spec, "J", int), K=json_field(spec, "K", int, 4),
+        M=json_field(spec, "M", int, 4), N=json_field(spec, "N", int, 2),
+        sigma2=json_field(spec, "sigma2", float, 0.01),
+        varsigma2=json_field(spec, "varsigma2", float, 0.0),
+        Pe=json_field(spec, "Pe", float, 30.0),
     )
-    schedule = tuple(float(b) for b in range(1, int(spec.get("beta_max", 30)) + 1))
+    beta_max = json_field(spec, "beta_max", int, 30)
     config = DesignConfig(
-        beta_schedule=schedule,
-        starts=int(spec.get("starts", 8)),
-        seed=int(spec.get("seed", 0)),
+        beta_schedule=tuple(float(b) for b in range(1, beta_max + 1)),
+        starts=json_field(spec, "starts", int, 8),
+        seed=json_field(spec, "seed", int, 0),
     )
     return params, config
 

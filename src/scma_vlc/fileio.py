@@ -20,6 +20,29 @@ from .model import Codebook, CodebookSet, FactorGraph, SystemParams, mapping_fro
 FORMAT_VERSION = 1
 LABELING = "natural-binary"
 
+_REQUIRED = object()
+
+
+def json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
+    """obj[name] checked as an int (kind=int) or a number (kind=float).
+
+    An int field takes only a JSON integer; a number field takes an integer
+    or a float. Neither takes a bool. A missing field without a default, or a
+    value of another type, raises ConfigError.
+    """
+    if name not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {name!r}")
+        return default
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as e:  # an integer too large for a float
+        raise ConfigError(f"field {name!r} is out of range: {e}") from e
+
 
 def dumps_codebook_set(cb_set: CodebookSet) -> str:
     p = cb_set.params
@@ -51,18 +74,16 @@ def loads_codebook_set(text: str) -> CodebookSet:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed codebook header: {e}") from e
+    if not isinstance(header, dict):
+        raise ConfigError("the codebook header must be a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported codebook format version {header.get('version')}")
     if header.get("labeling") != LABELING:
         raise ConfigError(f"unsupported bit labeling {header.get('labeling')!r}")
-    try:
-        params = SystemParams(
-            J=int(header["J"]), K=int(header["K"]), M=int(header["M"]),
-            N=int(header["N"]), sigma2=float(header["sigma2"]),
-            varsigma2=float(header["varsigma2"]), Pe=float(header["Pe"]),
-        )
-    except KeyError as e:
-        raise ConfigError(f"codebook header missing field {e}") from e
+    params = SystemParams(
+        **{name: json_field(header, name, int) for name in ("J", "K", "M", "N")},
+        **{name: json_field(header, name, float) for name in ("sigma2", "varsigma2", "Pe")},
+    )
 
     expected = 1 + params.K + params.J * params.N
     if len(lines) != expected:

@@ -168,6 +168,22 @@ class TestSimulateCommand:
             main(["simulate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("spec", [
+        '{"Pe": 5}',       # no J
+        '{"J": 3.9}',      # fractional integer
+        '{"J": true}',     # a bool is not an integer
+        '{"J": 3, "Pe": "high"}',
+        '{"J": 3, "starts": null}',
+        '[3, 4]',          # not an object
+    ])
+    def test_bad_design_spec_is_usage_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        rc = main(["simulate", "--design-spec", str(path), "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "b.csv").exists()
+
     def test_manifest_records_wall_time_and_environment(self, fixture_file, tmp_path):
         out = tmp_path / "ber.csv"
         assert main(["simulate", "--cb", str(fixture_file), "--max-frames", "100",

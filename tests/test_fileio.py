@@ -135,6 +135,41 @@ class TestErrors:
         with pytest.raises(ConfigError):
             loads_codebook_set("\n".join([json.dumps(header)] + lines[1:]))
 
+    @staticmethod
+    def _with_header_field(cb_set, name, value):
+        lines = dumps_codebook_set(cb_set).splitlines()
+        header = json.loads(lines[0])
+        header[name] = value
+        return "\n".join([json.dumps(header)] + lines[1:])
+
+    def test_fractional_header_integer(self, ls_j3):
+        with pytest.raises(ConfigError):
+            loads_codebook_set(self._with_header_field(ls_j3, "J", 3.9))
+
+    def test_bool_header_integer(self, ls_j3):
+        with pytest.raises(ConfigError):
+            loads_codebook_set(self._with_header_field(ls_j3, "K", True))
+
+    def test_non_numeric_header_integer(self, ls_j3):
+        with pytest.raises(ConfigError):
+            loads_codebook_set(self._with_header_field(ls_j3, "M", "abc"))
+
+    def test_null_header_integer(self, ls_j3):
+        with pytest.raises(ConfigError):
+            loads_codebook_set(self._with_header_field(ls_j3, "M", None))
+
+    def test_null_header_number(self, ls_j3):
+        with pytest.raises(ConfigError):
+            loads_codebook_set(self._with_header_field(ls_j3, "Pe", None))
+
+    def test_integer_header_number_loads(self, ls_j3):
+        cb = loads_codebook_set(self._with_header_field(ls_j3, "Pe", 30))
+        assert cb.params.Pe == 30.0 and isinstance(cb.params.Pe, float)
+
+    def test_header_not_an_object(self):
+        with pytest.raises(ConfigError):
+            loads_codebook_set("[1, 2]\n")
+
 
 class TestNonCanonicalGraph:
     def test_loads_permuted_graph(self, ls_j3):
