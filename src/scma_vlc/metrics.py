@@ -72,11 +72,8 @@ class StackedVector:
         """Read-only rotated distances of all unordered point pairs (triu order)."""
         d = self._distances.get(varsigma2)
         if d is None:
-            tables = []
-            for r in self.resources:
-                diff, _, root = _table_parts(r.layout.values(self.L), varsigma2)
-                tables.append(diff * diff / root)
-            d = _gather(tables, [r.pair_flat for r in self.resources])
+            d = _gather_distances([r.layout.values(self.L) for r in self.resources],
+                                  [r.pair_flat for r in self.resources], varsigma2)
             d.flags.writeable = False
             self._distances.clear()
             self._distances[varsigma2] = d
@@ -135,12 +132,18 @@ def _table_parts(v: np.ndarray, varsigma2: float):
     return diff, g, np.sqrt(g[:, None] * g[None, :])
 
 
-def _gather(tables: list[np.ndarray], pair_flats: list[np.ndarray]) -> np.ndarray:
-    """Pair distances sum_k tables[k].flat[pair_flats[k]], chunked over pairs.
+def _gather_distances(values: list[np.ndarray], pair_flats: list[np.ndarray],
+                      varsigma2: float) -> np.ndarray:
+    """Rotated pair distances from per-resource values and pair indices.
 
-    Terms are added in resource order; that order defines the result (it is
-    also the order of red's sum over resources).
+    Resource k contributes entry pair_flats[k][p] of the table diff^2 / root
+    of its values; terms are added in resource order, which defines the
+    result. The gather runs in chunks of pairs.
     """
+    tables = []
+    for v in values:
+        diff, _, root = _table_parts(v, varsigma2)
+        tables.append(diff * diff / root)
     d = np.zeros(len(pair_flats[0]))
     for lo in range(0, len(d), _GATHER_CHUNK):
         part = d[lo:lo + _GATHER_CHUNK]
@@ -193,13 +196,12 @@ def pairwise_report(
         raise DomainError("a distance report needs at least two points")
     if not np.isfinite(points).all() or np.any(points < 0):
         raise DomainError("superimposed codewords must be finite and nonnegative")
-    tables, pair_flats = [], []
+    values, pair_flats = [], []
     for column in points.T:
         v, a = np.unique(column, return_inverse=True)
-        diff, _, root = _table_parts(v, varsigma2)
-        tables.append(diff * diff / root)
+        values.append(v)
         pair_flats.append(_pair_flat(a, len(v)))
-    d = _gather(tables, pair_flats)
+    d = _gather_distances(values, pair_flats, varsigma2)
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
