@@ -49,6 +49,8 @@ class DesignConfig:
     max_inner_iters: int = 500
 
     def __post_init__(self):
+        if not self.beta_schedule:
+            raise ValueError("beta_schedule must not be empty")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
             raise ValueError("beta_schedule must be strictly increasing")
         if self.starts < 1:

@@ -174,6 +174,7 @@ class TestSimulateCommand:
         '{"J": true}',     # a bool is not an integer
         '{"J": 3, "Pe": "high"}',
         '{"J": 3, "starts": null}',
+        '{"J": 3, "beta_max": 0}',  # an empty beta schedule
         '[3, 4]',          # not an object
     ])
     def test_bad_design_spec_is_usage_error(self, tmp_path, capsys, spec):

@@ -36,6 +36,10 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             DesignConfig(beta_schedule=(1.0, 1.0, 2.0))
 
+    def test_schedule_not_empty(self):
+        with pytest.raises(ValueError):
+            DesignConfig(beta_schedule=())
+
     def test_starts_positive(self):
         with pytest.raises(ValueError):
             DesignConfig(starts=0)
