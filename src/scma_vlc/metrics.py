@@ -29,10 +29,19 @@ from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py 
 # as conventionally quoted to 4 significant digits.
 CHI2_2_Q95 = 5.991
 
-# Pairs per gather and bincount over the static pair indices. numpy widens
-# each index block to intp (8 bytes per pair), so this bounds that temporary;
-# it holds every pair up to J=5 (523,776), splitting only J=6 (8,386,560).
+# Pairs per bincount of the gradient over the static pair indices. numpy
+# widens each index block to intp (8 bytes per pair), so this bounds that
+# temporary; it holds every pair up to J=5 (523,776), splitting only J=6
+# (8,386,560). The block sums are added in order, so the gradient's rounding
+# depends on this value.
 _GATHER_CHUNK = 1 << 20
+
+# Pairs per step of the distance gather (any value gives the same floats).
+# Its per-resource temporaries stay at 128 KiB, which keeps them in L2 and
+# below glibc's default mmap threshold: at J=4 (32,640 pairs) full-size
+# temporaries made the heap grow and shrink on every call, about 27,000
+# page faults per design, against about 500 with this step.
+_TAKE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -145,10 +154,10 @@ def _gather_distances(values: list[np.ndarray], pair_flats: list[np.ndarray],
         diff, _, root = _table_parts(v, varsigma2)
         tables.append(diff * diff / root)
     d = np.zeros(len(pair_flats[0]))
-    for lo in range(0, len(d), _GATHER_CHUNK):
-        part = d[lo:lo + _GATHER_CHUNK]
+    for lo in range(0, len(d), _TAKE_CHUNK):
+        part = d[lo:lo + _TAKE_CHUNK]
         for table, flat in zip(tables, pair_flats):
-            part += np.take(table, flat[lo:lo + _GATHER_CHUNK])
+            part += np.take(table, flat[lo:lo + _TAKE_CHUNK])
     return d
 
 

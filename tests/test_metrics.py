@@ -319,8 +319,10 @@ class TestStructuralKernel:
     def test_chunked_gather_matches_single_chunk(self, ls_j3, monkeypatch):
         single_d = stack_codebook_set(ls_j3).distances(5.0)
         single_g = logsumexp_gradient(stack_codebook_set(ls_j3), 10.0, 5.0)
-        # 2016 pairs in 21 chunks, the last one partial.
+        # 2016 pairs in 21 chunks, the last one partial, in both the distance
+        # gather and the gradient's bincount.
         monkeypatch.setattr(metrics, "_GATHER_CHUNK", 97)
+        monkeypatch.setattr(metrics, "_TAKE_CHUNK", 97)
         sv = stack_codebook_set(ls_j3)
         np.testing.assert_array_equal(sv.distances(5.0), single_d)
         chunked_g = logsumexp_gradient(sv, 10.0, 5.0)
