@@ -37,10 +37,10 @@ CHI2_2_Q95 = 5.991
 _GATHER_CHUNK = 1 << 20
 
 # Pairs per step of the distance gather (any value gives the same floats).
-# Its per-resource temporaries stay at 128 KiB, which keeps them in L2 and
-# below glibc's default mmap threshold: at J=4 (32,640 pairs) full-size
-# temporaries made the heap grow and shrink on every call, about 27,000
-# page faults per design, against about 500 with this step.
+# Its per-resource temporaries stay at 128 KiB, small enough to sit in L2 and
+# to be reused from the heap: at J=4 (32,640 pairs) full-size temporaries
+# made glibc grow and trim the heap on every call, about 27,000 page faults
+# per design, against about 500 with this step.
 _TAKE_CHUNK = 1 << 14
 
 

@@ -228,8 +228,7 @@ class TestLogsumexpGradient:
 
 def _old_objective(points, beta, varsigma2):
     """The pairwise objective formula over np.triu_indices pairs."""
-    ii, jj = np.triu_indices(len(points), k=1)
-    d = _pair_distances(points, varsigma2, ii, jj)
+    d = _reference_distances(points, varsigma2)
     d_min = d.min()
     return float(np.log(np.sum(np.exp(-beta * (d - d_min)))) / beta - d_min)
 
@@ -266,14 +265,9 @@ class TestStructuralKernel:
         cb = load_fixture(name)
         sv = stack_codebook_set(cb)
         points = enumerate_superimposed(cb).points
-        ii, jj = np.triu_indices(len(points), k=1)
         for varsigma2 in (0.0, 1.0, 5.0):
-            d = sv.distances(varsigma2)
-            assert d.shape == ii.shape
-            for lo in range(0, len(ii), _PAIR_CHUNK):
-                hi = lo + _PAIR_CHUNK
-                ref = _pair_distances(points, varsigma2, ii[lo:hi], jj[lo:hi])
-                np.testing.assert_array_equal(d[lo:hi], ref)
+            np.testing.assert_array_equal(sv.distances(varsigma2),
+                                          _reference_distances(points, varsigma2))
 
     @pytest.mark.parametrize("name", ["dr-j3", "ls-j3", "ls-j4", "ls-j5"])
     def test_objective_bitwise_equal_pairwise(self, name):
