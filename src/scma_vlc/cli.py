@@ -24,15 +24,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .decoder import joint_map_bruteforce  # noqa: F401  (re-exported debug helper)
-from .decoder import graph_op_counts, max_log_mpa_batch
+from .decoder import DEFAULT_ITERS, graph_op_counts, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, json_field, load_codebook_set, save_codebook_set
 from .fixtures import fixture_names, load_fixture
 from .metrics import epd_ellipses, pairwise_report, stack_codebook_set
 from .model import SystemParams, enumerate_superimposed
-from .simulator import simulate_ber, sweep
+from .simulator import DEFAULT_MAX_FRAMES, DEFAULT_MIN_BIT_ERRORS, simulate_ber, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,6 +40,9 @@ EXIT_CAPACITY = 4
 
 # The noise streams of simulate and sweep (simulator.TrialStream).
 _NOISE_GENERATOR = "numpy PCG64, SeedSequence([seed, block])"
+
+# The library's default beta schedule is 1, 2, ..., _BETA_MAX.
+_BETA_MAX = int(DesignConfig.beta_schedule[-1])
 
 
 def _digest(path: Path) -> str:
@@ -199,17 +201,15 @@ def _load_design_spec(path: str) -> tuple[SystemParams, DesignConfig]:
     if not isinstance(spec, dict):
         raise ConfigError("a design spec must be a JSON object")
     params = SystemParams(
-        J=json_field(spec, "J", int), K=json_field(spec, "K", int, 4),
-        M=json_field(spec, "M", int, 4), N=json_field(spec, "N", int, 2),
-        sigma2=json_field(spec, "sigma2", float, 0.01),
-        varsigma2=json_field(spec, "varsigma2", float, 0.0),
-        Pe=json_field(spec, "Pe", float, 30.0),
+        J=json_field(spec, "J", int),
+        **{n: json_field(spec, n, int, getattr(SystemParams, n)) for n in ("K", "M", "N")},
+        **{n: json_field(spec, n, float, getattr(SystemParams, n))
+           for n in ("sigma2", "varsigma2", "Pe")},
     )
-    beta_max = json_field(spec, "beta_max", int, 30)
+    beta_max = json_field(spec, "beta_max", int, _BETA_MAX)
     config = DesignConfig(
         beta_schedule=tuple(float(b) for b in range(1, beta_max + 1)),
-        starts=json_field(spec, "starts", int, 8),
-        seed=json_field(spec, "seed", int, 0),
+        **{n: json_field(spec, n, int, getattr(DesignConfig, n)) for n in ("starts", "seed")},
     )
     return params, config
 
@@ -292,15 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("design", help="design a codebook set")
     d.add_argument("--users", type=int, required=True)
-    d.add_argument("--res", type=int, default=4)
-    d.add_argument("--cbsize", type=int, default=4)
-    d.add_argument("--nonzero", type=int, default=2)
-    d.add_argument("--varsigma2", type=float, default=0.0)
-    d.add_argument("--sigma2", type=float, default=0.01)
-    d.add_argument("--pe", type=float, default=30.0)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--starts", type=int, default=8)
-    d.add_argument("--beta-max", type=int, default=30)
+    d.add_argument("--res", type=int, default=SystemParams.K)
+    d.add_argument("--cbsize", type=int, default=SystemParams.M)
+    d.add_argument("--nonzero", type=int, default=SystemParams.N)
+    d.add_argument("--varsigma2", type=float, default=SystemParams.varsigma2)
+    d.add_argument("--sigma2", type=float, default=SystemParams.sigma2)
+    d.add_argument("--pe", type=float, default=SystemParams.Pe)
+    d.add_argument("--seed", type=int, default=DesignConfig.seed)
+    d.add_argument("--starts", type=int, default=DesignConfig.starts)
+    d.add_argument("--beta-max", type=int, default=_BETA_MAX)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_design)
 
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--cb", required=True)
     de.add_argument("--input")
     de.add_argument("--out", default="decoded.csv")
-    de.add_argument("--iters", type=int, default=6)
+    de.add_argument("--iters", type=int, default=DEFAULT_ITERS)
     de.add_argument("--logdet", action="store_true")
     de.add_argument("--counts", action="store_true")
     de.add_argument("--variant", choices=["mpa", "max_log"], default="max_log")
@@ -333,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--cb")
     si.add_argument("--design-spec")
     si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--min-errors", type=int, default=200)
-    si.add_argument("--max-frames", type=int, default=1_000_000)
-    si.add_argument("--iters", type=int, default=6)
+    si.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
+    si.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
+    si.add_argument("--iters", type=int, default=DEFAULT_ITERS)
     si.add_argument("--out", default="ber.csv")
     si.set_defaults(func=_cmd_simulate)
 
@@ -345,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--pe-list", required=True)
     sw.add_argument("--mode", choices=["scale", "redesign"], default="scale")
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--min-errors", type=int, default=200)
-    sw.add_argument("--max-frames", type=int, default=1_000_000)
-    sw.add_argument("--iters", type=int, default=6)
+    sw.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
+    sw.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
+    sw.add_argument("--iters", type=int, default=DEFAULT_ITERS)
     sw.add_argument("--out", default="sweep.csv")
     sw.set_defaults(func=_cmd_sweep)
 

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .model import DEFAULT_MAX_POINTS, CodebookSet, ResourceLayout, enumerate_superimposed
+from .model import CodebookSet, ResourceLayout, enumerate_superimposed
 from .model import label_table, resource_layout
 
 DEFAULT_ITERS = 6
@@ -329,14 +329,13 @@ def mpa_linear(
     return _single_state(*_outputs(beliefs, rn, vn, tables), None)
 
 
-def loglik_table(Y: np.ndarray, cb_set: CodebookSet,
-                 max_points: int = DEFAULT_MAX_POINTS) -> tuple[np.ndarray, object]:
+def loglik_table(Y: np.ndarray, cb_set: CodebookSet) -> tuple[np.ndarray, object]:
     """Exact joint Gaussian log-likelihood of each superimposed point, batched.
 
     Returns ((T, M^J) log-likelihoods, the enumerated constellation).
     Received vectors are checked as for the message-passing decoders.
     """
-    constellation = enumerate_superimposed(cb_set, max_points=max_points)
+    constellation = enumerate_superimposed(cb_set)
     Y = _received(Y, cb_set.params)
     s = constellation.points
     nu = constellation.covariances
@@ -347,14 +346,14 @@ def loglik_table(Y: np.ndarray, cb_set: CodebookSet,
 
 
 def joint_map_bruteforce(
-    y: np.ndarray, cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS
+    y: np.ndarray, cb_set: CodebookSet
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Exhaustive joint MAP over all M^J tuples under the full IDGN likelihood.
 
     Ties are broken toward the lowest tuple index. Returns the 1-based symbol
     tuple and the concatenated bit labels.
     """
-    ll, constellation = loglik_table(np.asarray(y, dtype=float)[None, :], cb_set, max_points)
+    ll, constellation = loglik_table(np.asarray(y, dtype=float)[None, :], cb_set)
     i = int(np.argmax(ll[0]))
     return tuple(int(m) for m in constellation.index_tuples[i]), constellation.bit_labels[i].copy()
 

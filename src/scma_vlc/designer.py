@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,11 +43,12 @@ _CHECKPOINT_STEPS = 200
 @dataclass(frozen=True)
 class DesignConfig:
     beta_schedule: tuple[float, ...] = tuple(float(b) for b in range(1, 31))
-    inner_tol: float = 1e-3
     starts: int = 8
     seed: int = 0
-    epsilon_floor: float = 0.01
     max_inner_iters: int = 500
+    # Fixed for every design: the stage stop tolerance and the entry floor.
+    inner_tol: ClassVar[float] = 1e-3
+    epsilon_floor: ClassVar[float] = 0.01
 
     def __post_init__(self):
         if not self.beta_schedule:
@@ -85,11 +87,11 @@ def project_feasible(
     return L.replace(out)
 
 
-def _is_feasible(L: np.ndarray, params: SystemParams, tol: float = 1e-9) -> bool:
+def _is_feasible(L: np.ndarray, params: SystemParams) -> bool:
     if np.any(L <= 0):
         return False
     for _, block in _user_blocks(L, params):
-        if np.sum(block * block) / params.M > params.Pe + tol:
+        if np.sum(block * block) / params.M > params.Pe + 1e-7:
             return False
     return True
 
@@ -204,16 +206,16 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
             x, f, step, _ = _pgd_step(x, f, step, beta, params, config)
             trace.append((s, beta, 0, f))
         f, x = inner_solve(x, config.beta_schedule[-1], params, config, trace=trace, start=s)
-        if _is_feasible(x.L, params) and f < best_f - 1e-9:
+        if f < best_f - 1e-9:
             best_f, best_L = f, x
 
     if best_L is None:
-        raise ConvergenceError("no start produced a feasible design")
+        raise ConvergenceError("no start reached a finite objective")
 
     # Repair any sub-floor entries introduced by the final power rescale.
     L = best_L.L.copy()
     for _ in range(100):
-        if np.all(L >= config.epsilon_floor - 1e-12) and _is_feasible(L, params, tol=1e-7):
+        if np.all(L >= config.epsilon_floor - 1e-12) and _is_feasible(L, params):
             break
         L = project_feasible(best_L.replace(L), params, config.epsilon_floor).L
 

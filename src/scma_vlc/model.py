@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
 
-# Default cap on the superimposed-constellation size (4^6).
+# Cap on the superimposed-constellation size (4^6).
 DEFAULT_MAX_POINTS = 4096
 
 # Column supports (0-based resource rows) of the reference 4x6 factor graph.
@@ -258,22 +258,20 @@ def resource_layout(cb_set: CodebookSet) -> tuple[np.ndarray, tuple[ResourceLayo
     return L, tuple(layout)
 
 
-def point_digits(params: SystemParams, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+def point_digits(params: SystemParams) -> np.ndarray:
     """(M^J, J) 0-based symbol digits of every superimposed point.
 
     Point i is i written in base M with user 1 as the most significant
-    digit. Raises CapacityError when M^J exceeds max_points.
+    digit. Raises CapacityError when M^J exceeds DEFAULT_MAX_POINTS.
     """
     M, J = params.M, params.J
-    if M**J > max_points:
-        raise CapacityError(f"M^J = {M**J} exceeds the configured limit {max_points}")
+    if M**J > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"M^J = {M**J} exceeds the limit {DEFAULT_MAX_POINTS}")
     idx = np.arange(M**J)
     return np.stack([(idx // M ** (J - 1 - j)) % M for j in range(J)], axis=1)
 
 
-def enumerate_superimposed(
-    cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS
-) -> SuperConstellation:
+def enumerate_superimposed(cb_set: CodebookSet) -> SuperConstellation:
     """Enumerate all M^J superimposed codewords.
 
     Tuple order is a mixed-radix counter with user 1 as the most significant
@@ -281,7 +279,7 @@ def enumerate_superimposed(
     user order. Each point is gathered from the resource values.
     """
     p = cb_set.params
-    digits = point_digits(p, max_points)
+    digits = point_digits(p)
     L, layout = resource_layout(cb_set)
     points = np.column_stack([r.values(L)[r.combos(digits)] for r in layout])
     labels = label_table(p.M)[digits].reshape(len(digits), -1)

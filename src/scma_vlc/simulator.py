@@ -10,11 +10,12 @@ from scipy.special import erfc
 from .decoder import DEFAULT_ITERS, _build_tables, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import ConfigError, DomainError
-from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
+from .model import CodebookSet, SystemParams, scale_codebook_set
 from .model import point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 DEFAULT_MIN_BIT_ERRORS = 200
+DEFAULT_MAX_FRAMES = 1_000_000
 _FRAME_BLOCK = 4096
 
 # Sent points per block of the union bound, a power of two: a block's
@@ -107,7 +108,7 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def analytical_ber(cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS) -> float:
+def analytical_ber(cb_set: CodebookSet) -> float:
     """Union-bound BER: bit-weighted pairwise error probabilities over all ordered pairs.
 
     BER = sum_{i != j} hd(i, j) Q(arg(i, j)) / (J b P), where arg(i, j)^2 =
@@ -117,10 +118,10 @@ def analytical_ber(cb_set: CodebookSet, max_points: int = DEFAULT_MAX_POINTS) ->
     resource order. Labels are natural binary with user 1 as the most
     significant digit, so the label of point i read as a J*b-bit integer is
     i itself and hd(i, j) = popcount(i XOR j). Raises CapacityError when M^J
-    exceeds max_points.
+    exceeds DEFAULT_MAX_POINTS.
     """
     p = cb_set.params
-    digits = point_digits(p, max_points)
+    digits = point_digits(p)
     L, layout = resource_layout(cb_set)
     combos = [r.combos(digits) for r in layout]
     # cols[k][a, j] = (v_a - v_b)^2 / (2 nu_a) with b the value of point j on
@@ -154,11 +155,9 @@ def simulate_ber(
     cb_set: CodebookSet,
     n_iters: int = DEFAULT_ITERS,
     min_bit_errors: int | None = DEFAULT_MIN_BIT_ERRORS,
-    max_frames: int | None = 1_000_000,
+    max_frames: int | None = DEFAULT_MAX_FRAMES,
     seed: int = 0,
-    include_logdet: bool = False,
     compute_analytical: bool = True,
-    add_noise: bool = True,
 ) -> BerPoint:
     """Seeded Monte Carlo BER of Max-Log decoding over the IDGN channel.
 
@@ -190,9 +189,9 @@ def simulate_ber(
         s = np.empty((T, p.K))
         for k, r in enumerate(tables.layout):
             s[:, k] = tables.values[k][r.combos(syms)]
-        y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng) if add_noise else s
+        y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng)
         _, _, hard, _, _ = max_log_mpa_batch(
-            y, cb_set, n_iters, include_logdet=include_logdet, tables=tables
+            y, cb_set, n_iters, include_logdet=False, tables=tables
         )
         sent_bits = tables.labels[syms]  # (T, J, b)
         bad = hard != sent_bits
@@ -224,7 +223,7 @@ def sweep(
     mode: str = "scale",
     n_iters: int = DEFAULT_ITERS,
     min_bit_errors: int | None = DEFAULT_MIN_BIT_ERRORS,
-    max_frames: int | None = 1_000_000,
+    max_frames: int | None = DEFAULT_MAX_FRAMES,
     seed: int = 0,
 ) -> list[BerPoint]:
     """Simulated + analytical BER across a power sweep.

@@ -15,10 +15,10 @@ def dr_j3():
     return load_fixture("dr-j3")
 
 
-def random_codebook_set(J, seed, varsigma2=5.0, Pe=30.0, sigma2=0.01):
+def random_codebook_set(J, seed, varsigma2=5.0, Pe=30.0, sigma2=0.01, K=4):
     """A feasible random codebook set for property tests."""
     rng = np.random.default_rng(seed)
-    params = SystemParams(J=J, sigma2=sigma2, varsigma2=varsigma2, Pe=Pe)
+    params = SystemParams(J=J, K=K, sigma2=sigma2, varsigma2=varsigma2, Pe=Pe)
     books = []
     for _ in range(J):
         C = rng.uniform(0.01, np.sqrt(Pe), size=(params.N, params.M))

@@ -17,9 +17,7 @@ PARAMS = SystemParams(J=3, sigma2=0.01, varsigma2=5.0, Pe=30.0)
 
 # Small configuration for fast structural tests; quality is covered by the
 # acceptance suite with the default configuration.
-FAST = DesignConfig(
-    beta_schedule=(1.0, 5.0, 10.0), starts=2, max_inner_iters=3, inner_tol=1e-3
-)
+FAST = DesignConfig(beta_schedule=(1.0, 5.0, 10.0), starts=2, max_inner_iters=3)
 
 
 def template(params=PARAMS):

@@ -23,6 +23,8 @@ from scma_vlc.decoder import _build_tables
 from scma_vlc.errors import CapacityError, DimensionError, DomainError
 from scma_vlc.model import Codebook, MappingMatrix, bit_label, label_table, resource_layout
 
+from conftest import random_codebook_set
+
 
 class TestSystemParams:
     def test_defaults(self):
@@ -197,9 +199,10 @@ class TestEnumerate:
         assert tuple(c.index_tuples[i]) == (2, 3, 4)
         assert list(c.bit_labels[i]) == [0, 1, 1, 0, 1, 1]
 
-    def test_capacity_guard(self, ls_j3):
+    def test_capacity_guard(self):
+        # 4^7 = 16384 points, above the 4096-point limit.
         with pytest.raises(CapacityError):
-            enumerate_superimposed(ls_j3, max_points=63)
+            enumerate_superimposed(random_codebook_set(7, seed=0, K=5))
 
 
 class TestPowerAndScaling:

@@ -14,11 +14,14 @@ from scma_vlc import (
     qfunc,
     scale_codebook_set,
     simulate_ber,
+    simulator,
     sweep,
 )
 from scma_vlc.errors import CapacityError, ConfigError, DomainError
 from scma_vlc.model import codebook_set_from_constellations
 from scma_vlc.simulator import _popcount
+
+from conftest import random_codebook_set
 
 
 def _chunked_union_bound(cb_set):
@@ -152,9 +155,9 @@ class TestAnalyticalBer:
         assert abs(analytical_ber(cb) - total / (2 * 4)) < 1e-15
 
     def test_capacity_guard(self):
-        cb = load_fixture("ls-j6")
+        # 4^7 = 16384 points, above the 4096-point limit.
         with pytest.raises(CapacityError):
-            analytical_ber(cb, max_points=100)
+            analytical_ber(random_codebook_set(7, seed=0, K=5))
 
     def test_decreases_with_power(self, ls_j3):
         vals = [analytical_ber(scale_codebook_set(ls_j3, pe)) for pe in (5.0, 10.0, 20.0)]
@@ -198,9 +201,10 @@ class TestStructuralBound:
 
 
 class TestSimulateBer:
-    def test_noise_free_error_free(self, ls_j3):
+    def test_noise_free_error_free(self, ls_j3, monkeypatch):
+        monkeypatch.setattr(simulator, "add_idgn", lambda s, *args, **kwargs: s)
         pt = simulate_ber(ls_j3, max_frames=2000, min_bit_errors=None,
-                          add_noise=False, compute_analytical=False)
+                          compute_analytical=False)
         assert pt.bit_errors == 0
         assert pt.ber_sim == 0.0
         assert pt.bits_sent == 2000 * 3 * 2
