@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isfinite
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -53,10 +55,14 @@ class DesignConfig:
     def __post_init__(self):
         if not self.beta_schedule:
             raise ValueError("beta_schedule must not be empty")
+        if not all(isfinite(b) and b > 0 for b in self.beta_schedule):
+            raise ValueError("beta_schedule entries must be finite and > 0")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
             raise ValueError("beta_schedule must be strictly increasing")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        for name, least in (("starts", 1), ("max_inner_iters", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass(frozen=True)

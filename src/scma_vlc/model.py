@@ -74,7 +74,8 @@ class FactorGraph:
 
     rn_neighbors[k] lists the users (1-based) served on resource k+1;
     vn_neighbors[j] lists the resources (1-based) carrying user j+1.
-    Raises DimensionError unless F is a 2-D matrix of zeros and ones.
+    Raises DimensionError unless F is a 2-D matrix of zeros and ones whose
+    columns are distinct and nonzero: every user has its own support.
     """
 
     F: np.ndarray
@@ -86,8 +87,10 @@ class FactorGraph:
         F = np.asarray(self.F)
         if F.ndim != 2 or not ((F == 0) | (F == 1)).all():
             raise DimensionError("a factor graph must be a 2-D matrix of zeros and ones")
-        rn = tuple(tuple(int(j + 1) for j in np.flatnonzero(row)) for row in F)
         vn = tuple(tuple(int(k + 1) for k in np.flatnonzero(col)) for col in F.T)
+        if not all(vn) or len(set(vn)) < len(vn):
+            raise DimensionError("every user needs a nonempty support of its own")
+        rn = tuple(tuple(int(j + 1) for j in np.flatnonzero(row)) for row in F)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "rn_neighbors", rn)
         object.__setattr__(self, "vn_neighbors", vn)
@@ -125,7 +128,12 @@ class Codebook:
 
 @dataclass(frozen=True)
 class CodebookSet:
-    """Full per-user description of one SCMA block: graph, mappings, books, gains."""
+    """Full per-user description of one SCMA block: graph, mappings, books, gains.
+
+    gains[j] holds user j+1's gain on each of the K resources (ones by
+    default). Raises DimensionError for a shape that does not fit params and
+    DomainError for a non-finite or negative gain.
+    """
 
     params: SystemParams
     graph: FactorGraph
@@ -134,12 +142,30 @@ class CodebookSet:
     gains: tuple[np.ndarray, ...] = field(default=None)
 
     def __post_init__(self):
+        p = self.params
+        if self.graph.F.shape != (p.K, p.J) or np.any(self.graph.F.sum(axis=0) != p.N):
+            raise DimensionError(
+                f"the factor graph must be {p.K} x {p.J} with {p.N} ones per column"
+            )
+        if len(self.mappings) != p.J or len(self.books) != p.J:
+            raise DimensionError(f"need one mapping and one book for each of the J={p.J} users")
+        for j, book in enumerate(self.books):
+            if book.C.shape != (p.N, p.M) or book.user_index != j + 1:
+                raise DimensionError(
+                    f"book {j + 1} must be {p.N} x {p.M} with user_index {j + 1}"
+                )
         if self.gains is None:
-            ones = tuple(np.ones(self.params.K) for _ in range(self.params.J))
-            object.__setattr__(self, "gains", ones)
+            gains = tuple(np.ones(p.K) for _ in range(p.J))
+        else:
+            gains = tuple(np.asarray(g, dtype=float) for g in self.gains)
+        if len(gains) != p.J or any(g.shape != (p.K,) for g in gains):
+            raise DimensionError(f"need J={p.J} gain vectors of shape ({p.K},)")
+        if not all(np.isfinite(g).all() and (g >= 0).all() for g in gains):
+            raise DomainError("channel gains must be finite and nonnegative")
+        object.__setattr__(self, "gains", gains)
         # Every consumer reads a user's resources in ascending order, so the
         # mapping must be the one the graph gives, not only the same support.
-        for j in range(self.params.J):
+        for j in range(p.J):
             if not np.array_equal(self.mappings[j].V, mapping_from_graph(self.graph, j + 1).V):
                 raise DimensionError(f"mapping of user {j + 1} inconsistent with graph")
 

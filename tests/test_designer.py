@@ -42,6 +42,27 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             DesignConfig(starts=0)
 
+    @pytest.mark.parametrize("schedule", [(1.0, np.nan, 3.0), (1.0, np.inf), (0.0, 1.0),
+                                          (-1.0, 2.0)])
+    def test_schedule_entries_finite_positive(self, schedule):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DesignConfig(beta_schedule=schedule)
+
+    def test_max_inner_iters_nonnegative(self):
+        with pytest.raises(ValueError, match="max_inner_iters"):
+            DesignConfig(max_inner_iters=-1)
+        assert DesignConfig(max_inner_iters=0).max_inner_iters == 0
+
+    @pytest.mark.parametrize("name", ["starts", "max_inner_iters"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_counts_are_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DesignConfig(**{name: value})
+
+    def test_numpy_integer_counts(self):
+        cfg = DesignConfig(starts=np.int64(2), max_inner_iters=np.int32(3))
+        assert (cfg.starts, cfg.max_inner_iters) == (2, 3)
+
     def test_defaults(self):
         cfg = DesignConfig()
         assert cfg.beta_schedule == tuple(float(b) for b in range(1, 31))

@@ -105,6 +105,12 @@ class TestFactorGraph:
         with pytest.raises(DimensionError):
             FactorGraph(F=np.array(F))
 
+    @pytest.mark.parametrize("F", [[[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]],
+                                   [[1, 0], [1, 0]]])
+    def test_rejects_repeated_or_empty_column(self, F):
+        with pytest.raises(DimensionError, match="support of its own"):
+            FactorGraph(F=np.array(F))
+
     def test_neighbor_sets_derived_from_matrix(self):
         g = FactorGraph(F=np.array([[1, 0, 1], [0, 1, 1]]))
         assert g.rn_neighbors == ((1, 3), (2, 3))
@@ -257,6 +263,54 @@ class TestCodebookEntries:
         C[1, 2] = bad
         with pytest.raises(DomainError):
             Codebook(C=C, user_index=1)
+
+
+class TestCodebookSetChecks:
+    def test_too_few_books(self, ls_j3):
+        with pytest.raises(DimensionError):
+            replace(ls_j3, books=ls_j3.books[:2])
+
+    def test_too_many_books(self, ls_j3):
+        extra = Codebook(C=np.ones((2, 4)), user_index=4)
+        with pytest.raises(DimensionError):
+            replace(ls_j3, books=ls_j3.books + (extra,))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3)])
+    def test_book_shape(self, ls_j3, shape):
+        books = (Codebook(C=np.ones(shape), user_index=1),) + ls_j3.books[1:]
+        with pytest.raises(DimensionError):
+            replace(ls_j3, books=books)
+
+    def test_book_user_index(self, ls_j3):
+        books = (ls_j3.books[1], ls_j3.books[0], ls_j3.books[2])
+        with pytest.raises(DimensionError):
+            replace(ls_j3, books=books)
+
+    def test_graph_shape(self, ls_j3):
+        with pytest.raises(DimensionError):
+            replace(ls_j3, graph=build_factor_graph(4, 4, 2))
+
+    @pytest.mark.parametrize("gains", [
+        [np.ones(4)] * 2,
+        [np.ones(4)] * 4,
+        [np.ones(3)] * 3,
+        [np.ones((4, 1))] * 3,
+    ])
+    def test_gain_shapes(self, ls_j3, gains):
+        with pytest.raises(DimensionError):
+            replace(ls_j3, gains=tuple(gains))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_gain_values(self, ls_j3, bad):
+        g = np.ones(4)
+        g[2] = bad
+        with pytest.raises(DomainError):
+            replace(ls_j3, gains=(np.ones(4), g, np.ones(4)))
+
+    def test_gains_stored_as_float_arrays(self, ls_j3):
+        cb = replace(ls_j3, gains=([1, 0, 2, 1],) * 3)
+        assert all(g.dtype == float and g.shape == (4,) for g in cb.gains)
+        assert all(np.array_equal(g, ls_j3.gains[0]) for g in replace(ls_j3).gains)
 
 
 def _decoder_combo_sums(cb_set):
