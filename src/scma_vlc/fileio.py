@@ -100,9 +100,9 @@ def loads_codebook_set(text: str) -> CodebookSet:
         raise ConfigError(f"malformed codebook entries: {e}") from e
     if F.shape != (params.K, params.J):
         raise ConfigError("factor graph block has wrong shape")
-    graph = FactorGraph(F=F)
     if np.any(F.sum(axis=0) != params.N):
         raise ConfigError("every factor graph column must have exactly N ones")
+    graph = FactorGraph(F=F)
     if any(C.shape != (params.N, params.M) for C in books):
         raise ConfigError("constellation block has wrong shape")
 

@@ -83,6 +83,19 @@ class TestErrors:
         with pytest.raises(ConfigError):
             loads_codebook_set("\n".join(lines))
 
+    def test_empty_graph_column(self, ls_j3):
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        lines[1:5] = [" ".join(row.split()[:2] + ["0"]) for row in lines[1:5]]
+        with pytest.raises(ConfigError):
+            loads_codebook_set("\n".join(lines))
+
+    def test_repeated_graph_column(self, ls_j3):
+        # Users 1 and 3 on resources 2 and 4: both columns sum to N = 2.
+        lines = dumps_codebook_set(ls_j3).splitlines()
+        lines[1:5] = ["0 1 0", "1 0 1", "0 1 0", "1 0 1"]
+        with pytest.raises(DimensionError, match="support of its own"):
+            loads_codebook_set("\n".join(lines))
+
     def test_non_binary_graph_entry(self, ls_j3):
         # User 1 sits on resources 2 and 4; moving both ones into a single 2
         # on resource 2 keeps every column sum at N = 2.
