@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -43,6 +44,11 @@ _NOISE_GENERATOR = "numpy PCG64, SeedSequence([seed, block])"
 
 # The library's default beta schedule is 1, 2, ..., _BETA_MAX.
 _BETA_MAX = int(DesignConfig.beta_schedule[-1])
+
+
+def _default(fn, name: str):
+    """The library's default of keyword argument name of fn."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _digest(path: Path) -> str:
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="distance report and EPD ellipses")
     a.add_argument("--cb", required=True)
     a.add_argument("--varsigma2", type=float, default=None)
-    a.add_argument("--confidence", type=float, default=0.95)
+    a.add_argument("--confidence", type=float, default=_default(epd_ellipses, "confidence"))
     a.add_argument("--pairs-csv")
     a.add_argument("--summary-json")
     a.add_argument("--ellipses-csv")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     si = sub.add_parser("simulate", help="Monte Carlo BER at one power level")
     si.add_argument("--cb")
     si.add_argument("--design-spec")
-    si.add_argument("--seed", type=int, default=0)
+    si.add_argument("--seed", type=int, default=_default(simulate_ber, "seed"))
     si.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
     si.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
     si.add_argument("--iters", type=int, default=DEFAULT_ITERS)
@@ -343,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--cb")
     sw.add_argument("--design-spec")
     sw.add_argument("--pe-list", required=True)
-    sw.add_argument("--mode", choices=["scale", "redesign"], default="scale")
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--mode", choices=["scale", "redesign"], default=_default(sweep, "mode"))
+    sw.add_argument("--seed", type=int, default=_default(sweep, "seed"))
     sw.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
     sw.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
     sw.add_argument("--iters", type=int, default=DEFAULT_ITERS)

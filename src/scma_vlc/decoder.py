@@ -3,10 +3,14 @@
 One batched log-domain message-passing kernel serves both detectors, with
 input-dependent per-resource noise variance: Max-Log (the marginalizer is
 ``max``) and sum-product (a max-shifted log-sum-exp). A brute-force joint MAP
-oracle sits beside them. Inside the kernel the frame axis is last: each
-resource's channel metric is one contiguous (M,)*d + (T,) array, messages are
-(M, T) arrays indexed by edge, and a message meets its axis of the metric by
-reshape. The public batch function takes frames on axis 0; the single-vector
+oracle sits beside them. Inside the kernel the frame axis is last and the
+frames run in tiles sized to stay in cache: each resource's channel metric is
+one (M,)*d + (tile,) array, messages are (M, T) arrays indexed by edge, and a
+message meets its axis of the metric by reshape. A resource
+update marginalizes one neighbour axis at a time, right after adding that
+neighbour's message, and shares the reduced prefix between positions; with
+``max`` each message is the same float as one joint max over the other
+axes. The public batch function takes frames on axis 0; the single-vector
 functions wrap a batch of one. Each resource's users, superimposed values and
 combination order come from model.resource_layout, shared with the designer
 and the union bound. On a cycle-free graph the kernel stops after the number
@@ -31,6 +35,12 @@ DEFAULT_ITERS = 6
 # this leaves room for hundreds of iterations before they overflow to inf
 # and the LLRs turn NaN.
 _METRIC_LIMIT = 1e150
+
+# Bytes of the widest resource's (M,)*d + (tile,) channel metric. The kernel
+# runs over frame tiles of this size so that a resource's metric and the
+# extrinsic sums built from it stay in cache: 1024 frames at 64 combinations
+# per resource, 4096 at 16.
+_TILE_BYTES = 512 * 1024
 
 
 @dataclass
@@ -121,106 +131,137 @@ def _received(Y, p) -> np.ndarray:
     return Y
 
 
-def _rn_metrics(Y: np.ndarray, tables: _Tables, include_logdet: bool,
-                force_awgn: bool = False) -> list[np.ndarray]:
-    """Per-RN channel metric (M,)*d + (T,): Gaussian log-likelihood of y_k per combo."""
+def _rn_metrics(Yt: np.ndarray, tables: _Tables, include_logdet: bool, force_awgn: bool,
+                bufs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-RN channel metric (M,)*d + (t,) of frames Yt (K, t), written into bufs.
+
+    The metric is the Gaussian log-likelihood of y_k per combination; bufs[k]
+    is a scratch (M^d, t) array.
+    """
     p = tables.params
-    T = Y.shape[0]
-    Yt = np.ascontiguousarray(Y.T)
     metrics = []
     for k, es in enumerate(tables.rn_edges):
         rho2 = np.full_like(tables.rho2[k], p.sigma2) if force_awgn else tables.rho2[k]
         # -((y - s)^2) / (2 rho2) [- 0.5 ln(2 pi rho2)], in place in one array.
-        m = Yt[None, k] - tables.values[k][:, None]
+        m = np.subtract(Yt[None, k], tables.values[k][:, None], out=bufs[k])
         np.square(m, out=m)
         np.negative(m, out=m)
         m /= 2.0 * rho2[:, None]
         if include_logdet:
             m -= 0.5 * np.log(2.0 * np.pi * rho2)[:, None]
-        metrics.append(m.reshape((p.M,) * len(es) + (T,)))
+        metrics.append(m.reshape((p.M,) * len(es) + (Yt.shape[1],)))
     return metrics
 
 
-def _logsumexp_marginal(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Sum-product marginalizer: max-shifted log-sum-exp over axes. Overwrites x.
+def _logsumexp_reduce(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Sum-product marginalizer: max-shifted log-sum-exp of x over axis, into out.
 
-    The (M, T) result is shifted so that each frame's largest entry is 0;
-    without it, log messages on a loopy graph grow with every iteration and
+    Overwrites x. The result is shifted so that each frame's largest entry is
+    0; without it, log messages on a loopy graph grow with every iteration and
     lose absolute precision.
     """
-    peak = x.max(axis=axes, keepdims=True)
+    peak = x.max(axis=axis, keepdims=True)
     np.subtract(x, peak, out=x)
     np.exp(x, out=x)
-    out = np.log(x.sum(axis=axes)) + np.squeeze(peak, axis=axes)
-    return out - out.max(axis=0)
+    np.log(x.sum(axis=axis), out=out)
+    out += np.squeeze(peak, axis=axis)
+    out -= out.max(axis=tuple(range(out.ndim - 1)))
+    return out
 
 
-def _pass_messages(Y, tables, n_iters, marginalize, include_logdet=False, force_awgn=False):
+def _rn_update(metric, views, edges, rn, sums, prefixes, reduce):
+    """RN->VN messages of one resource into rn, one neighbour axis at a time.
+
+    metric is (M,)*d + (t,); views[q] is the VN message of neighbour position
+    q shaped (M,) + (1,)*(d-1-q) + (t,), so that it meets axis 0 of a tensor
+    over positions q..d-1 and axis 1 of one over positions j, q..d-1.
+    sums[n] and prefixes[n] are scratch tensors with n symbol axes.
+    """
+    d = len(edges)
+    if d == 1:
+        np.copyto(rn[edges[0]], metric)
+        return
+    # P_0 is the metric and P_{j+1} = reduce_0(P_j + v_j). The message to
+    # position j continues from P_j: add v_q and reduce axis 1, q = j+1..d-1.
+    # The last prefix is the message to position d-1.
+    prefix = metric
+    for j, e in enumerate(edges[:-1]):
+        x = prefix
+        for q in range(j + 1, d):
+            n = x.ndim - 1
+            x = reduce(np.add(x, views[q], out=sums[n]), 1, rn[e] if n == 2 else sums[n - 1])
+        n = prefix.ndim - 1
+        prefix = reduce(np.add(prefix, views[j], out=sums[n]), 0,
+                        rn[edges[j + 1]] if n == 2 else prefixes[n - 1])
+
+
+def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=False):
     """Flooding message passing on (T, K) received vectors, frames last.
 
-    marginalize(x, axes) reduces an extrinsic tensor over the axes of the
-    other neighbours and may overwrite x: np.max for Max-Log,
-    _logsumexp_marginal for sum-product. Returns beliefs (J, M, T) and the
-    RN->VN and VN->RN messages (E, M, T), edge e being tables.edges[e].
-    Terms are added in ascending neighbour position, so with the max
-    marginalizer the arithmetic is that of the per-edge gather formulation,
-    bit for bit. Runs min(n_iters, tables.settle) iterations, which give
-    the same result as n_iters.
+    reduce(x, axis, out) marginalizes one axis of x into out and may
+    overwrite x: np.max for Max-Log, _logsumexp_reduce for sum-product.
+    Returns beliefs (J, M, T) and the RN->VN and VN->RN messages (E, M, T),
+    edge e being tables.edges[e]. Runs min(n_iters, tables.settle)
+    iterations, which give the same result as n_iters.
+
+    An RN update reduces one neighbour axis right after adding its VN message
+    (_rn_update), so the prefix over the first positions is shared by the
+    later ones. Rounding is monotone, so max_a(x_a + c) == max_a(x_a) + c
+    exactly, and terms are added in ascending neighbour position: with np.max
+    every message is the float of the per-edge gather formulation, which adds
+    all other messages to the metric and takes one joint max, bit for bit.
+
+    Frames are independent, so the iterations run over frame tiles sized so
+    that the widest resource's metric fills _TILE_BYTES; the tile's scratch
+    tensors are allocated once per call and reused across tiles and
+    iterations.
     """
     p = tables.params
-    M, T = p.M, Y.shape[0]
-    metrics = _rn_metrics(Y, tables, include_logdet, force_awgn=force_awgn)
-    # Two scratch tensors per metric shape: the extrinsic sum and a prefix.
-    scratch = {m.shape: (np.empty(m.shape), np.empty(m.shape))
-               for m in metrics if m.ndim > 2}
-    log_prior = -np.log(M)
-    vn = np.full((len(tables.edges), M, T), log_prior)
-    rn = np.zeros((len(tables.edges), M, T))
-    # Each resource's VN messages as views shaped onto their metric axes; vn is
-    # updated in place, so the views stay current.
-    axis_views = [
-        [vn[r].reshape((1,) * pos + (M,) + (1,) * (len(es) - 1 - pos) + (T,))
-         for pos, r in enumerate(es)]
-        for es in tables.rn_edges
-    ]
-
+    M, T, E = p.M, Y.shape[0], len(tables.edges)
     if tables.settle is not None:
         n_iters = min(n_iters, tables.settle)
-    for _ in range(n_iters):
-        # RN updates from current VN messages. The extrinsic sum for position
-        # pos_j is metric + v_0 + ... + v_{d-1} without v_{pos_j}; its terms
-        # before pos_j form a prefix shared with the later positions.
-        for k, es in enumerate(tables.rn_edges):
-            d = len(es)
-            views = axis_views[k]
-            prefix = metric = metrics[k]
-            if d > 1:
-                ext_buf, prefix_buf = scratch[metric.shape]
-            for pos_j, e in enumerate(es):
-                ext = prefix
-                for v in views[pos_j + 1:]:
-                    ext = np.add(ext, v, out=ext_buf)
-                # For d > 1, ext is a scratch tensor the marginalizer may
-                # overwrite: the prefix itself only at the last position.
-                axes = tuple(a for a in range(d) if a != pos_j)
-                new = marginalize(ext, axes) if d > 1 else metric
-                if pos_j < d - 1:
-                    prefix = np.add(prefix, views[pos_j], out=prefix_buf)
-                rn[e] = new
-        # VN updates from the just-computed RN messages.
-        for es in tables.vn_edges:
-            for e in es:
-                msg = np.full((M, T), log_prior)
-                for r in es:
-                    if r != e:
-                        msg += rn[r]
-                vn[e] = msg
+    log_prior = -np.log(M)
+    rn_all = np.zeros((E, M, T))
+    vn_all = np.full((E, M, T), log_prior)
+    tile = max(1, _TILE_BYTES // (8 * max(v.size for v in tables.values)))
+    width = min(tile, T)
+    d_max = max(len(es) for es in tables.rn_edges)
+    Yt = np.ascontiguousarray(Y.T)
+    # Scratch tensors for one tile, sliced to each tile's width: the metrics,
+    # and per count n of symbol axes an extrinsic sum and a prefix.
+    metric_bufs = [np.empty((v.size, width)) for v in tables.values]
+    sum_bufs = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max + 1)}
+    prefix_bufs = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max)}
+
+    for lo in range(0, T, tile):
+        t = min(tile, T - lo)
+        rn, vn = rn_all[:, :, lo:lo + t], vn_all[:, :, lo:lo + t]
+        metrics = _rn_metrics(Yt[:, lo:lo + t], tables, include_logdet, force_awgn,
+                              [b[:, :t] for b in metric_bufs])
+        sums = {n: b[..., :t] for n, b in sum_bufs.items()}
+        prefixes = {n: b[..., :t] for n, b in prefix_bufs.items()}
+        # Each resource's VN messages shaped onto their metric axes; vn is
+        # updated in place, so the views stay current.
+        views = [
+            [vn[e].reshape((M,) + (1,) * (len(es) - 1 - pos) + (t,)) for pos, e in enumerate(es)]
+            for es in tables.rn_edges
+        ]
+        for _ in range(n_iters):
+            for k, es in enumerate(tables.rn_edges):
+                _rn_update(metrics[k], views[k], es, rn, sums, prefixes, reduce)
+            # VN updates from the just-computed RN messages.
+            for es in tables.vn_edges:
+                for e in es:
+                    vn[e].fill(log_prior)
+                    for r in es:
+                        if r != e:
+                            vn[e] += rn[r]
 
     beliefs = np.full((p.J, M, T), log_prior)
     for j, es in enumerate(tables.vn_edges):
         for e in es:
-            beliefs[j] += rn[e]
-    return beliefs, rn, vn
+            beliefs[j] += rn_all[e]
+    return beliefs, rn_all, vn_all
 
 
 def _outputs(beliefs, rn, vn, tables):
@@ -321,7 +362,7 @@ def mpa_linear(
     if n_iters < 0:
         raise DomainError("n_iters must be >= 0")
     tables = _build_tables(cb_set)
-    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_marginal, include_logdet=True)
+    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True)
     # Shift before normalizing: the largest belief becomes exactly 0, so the
     # log-sum-exp of the result is 0 to rounding even for huge |beliefs|.
     beliefs -= beliefs.max(axis=1, keepdims=True)

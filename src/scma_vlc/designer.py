@@ -81,11 +81,9 @@ def _user_blocks(L: np.ndarray, params: SystemParams):
         yield j, L[j * size : (j + 1) * size]
 
 
-def project_feasible(
-    L: StackedVector, params: SystemParams, epsilon_floor: float
-) -> StackedVector:
+def project_feasible(L: StackedVector, params: SystemParams) -> StackedVector:
     """Clamp entries to the floor, then rescale any user block over its power cap."""
-    out = np.maximum(L.L, epsilon_floor)
+    out = np.maximum(L.L, DesignConfig.epsilon_floor)
     for _, block in _user_blocks(out, params):
         p = float(np.sum(block * block)) / params.M
         if p > params.Pe:
@@ -102,16 +100,11 @@ def _is_feasible(L: np.ndarray, params: SystemParams) -> bool:
     return True
 
 
-def random_init(
-    params: SystemParams,
-    seed: int,
-    epsilon_floor: float,
-    template: StackedVector,
-) -> StackedVector:
+def random_init(params: SystemParams, seed: int, template: StackedVector) -> StackedVector:
     """Uniform draw in [floor, sqrt(Pe)] per entry, projected feasible."""
     rng = np.random.default_rng(seed)
-    L = rng.uniform(epsilon_floor, np.sqrt(params.Pe), size=template.L.shape)
-    return project_feasible(template.replace(L), params, epsilon_floor)
+    L = rng.uniform(DesignConfig.epsilon_floor, np.sqrt(params.Pe), size=template.L.shape)
+    return project_feasible(template.replace(L), params)
 
 
 def _pgd_step(
@@ -133,7 +126,7 @@ def _pgd_step(
     for _ in range(_MAX_BACKTRACKS):
         if step == 0.0:
             break
-        cand = project_feasible(x.replace(x.L - step * g), params, config.epsilon_floor)
+        cand = project_feasible(x.replace(x.L - step * g), params)
         move = cand.L - x.L
         move_sq = float(np.dot(move, move))
         if move_sq == 0.0:
@@ -160,7 +153,7 @@ def inner_solve(
     checkpoints falls below inner_tol (or the checkpoint cap is reached).
     Never returns a point with a higher objective than the (projected) start.
     """
-    x = project_feasible(L0, params, config.epsilon_floor)
+    x = project_feasible(L0, params)
     f = logsumexp_objective(x, beta, params.varsigma2)
     step = 1.0
     for outer in range(config.max_inner_iters):
@@ -205,7 +198,7 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
     best_f = np.inf
     best_L: StackedVector | None = None
     for s in range(config.starts):
-        x = random_init(params, config.seed + s, config.epsilon_floor, template)
+        x = random_init(params, config.seed + s, template)
         step = 1.0
         for beta in config.beta_schedule[:-1]:
             f = logsumexp_objective(x, beta, params.varsigma2)
@@ -223,7 +216,7 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
     for _ in range(100):
         if np.all(L >= config.epsilon_floor - 1e-12) and _is_feasible(L, params):
             break
-        L = project_feasible(best_L.replace(L), params, config.epsilon_floor).L
+        L = project_feasible(best_L.replace(L), params).L
 
     books = []
     for j, block in _user_blocks(L, params):

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scma_vlc import enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, red
+from scma_vlc import cli, enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, red
 from scma_vlc.cli import main
 
 
@@ -226,3 +226,16 @@ class TestDeterminism:
                   "--max-frames", "20000", "--seed", "5", "--out", str(out)])
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+class TestFlagDefaults:
+    def test_read_from_library(self, monkeypatch):
+        # Library functions with other defaults: the parser follows them.
+        monkeypatch.setattr(cli, "epd_ellipses", lambda book, sigma2, varsigma2, confidence=0.5: [])
+        monkeypatch.setattr(cli, "simulate_ber", lambda cb_set, seed=7: None)
+        monkeypatch.setattr(cli, "sweep", lambda pe_list, mode="redesign", seed=8: [])
+        ap = cli.build_parser()
+        assert ap.parse_args(["analyze", "--cb", "x"]).confidence == 0.5
+        assert ap.parse_args(["simulate"]).seed == 7
+        args = ap.parse_args(["sweep", "--pe-list", "1"])
+        assert (args.mode, args.seed) == ("redesign", 8)

@@ -435,6 +435,27 @@ class TestGoldenMaxLog:
         np.testing.assert_array_equal(got.per_user_ber, ref.per_user_ber)
 
 
+class TestFrameTiles:
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j5", "ls-j6", "random-j5"])
+    def test_ragged_tiles_bitwise_equal_gather_decoder(self, name, monkeypatch):
+        cb = _golden_set(name)
+        widest = max(cb.params.M ** d for d in cb.graph.df_per_rn)
+        # 300 frames in tiles of 97, the last one of 9.
+        monkeypatch.setattr(decoder, "_TILE_BYTES", 97 * 8 * widest)
+        Y = _noisy_vectors(cb, 300, seed=13)
+        for include_logdet in (False, True):
+            for force_awgn in (False, True):
+                kw = dict(include_logdet=include_logdet, force_awgn=force_awgn)
+                got = max_log_mpa_batch(Y, cb, **kw)
+                ref = _gather_max_log(Y, cb, early_exit=False, **kw)
+                for i in range(3):  # beliefs, llrs, hard bits
+                    np.testing.assert_array_equal(got[i], ref[i])
+                for got_msgs, ref_msgs in zip(got[3], ref[3]):
+                    assert set(got_msgs) == set(ref_msgs)
+                    for e in ref_msgs:
+                        np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+
 _CYCLE_FREE = ["ls-j3", "dr-j3", "random-j1", "random-j2"]
 
 

@@ -76,28 +76,28 @@ class TestProjectFeasible:
     def test_feasible_unchanged(self):
         t = template()
         x = t.replace(np.full_like(t.L, 1.5))
-        out = project_feasible(x, PARAMS, 0.01)
+        out = project_feasible(x, PARAMS)
         np.testing.assert_array_equal(out.L, x.L)
 
     def test_power_rescale(self):
         t = template()
         # All entries equal v: per-user power = N*M*v^2/M = 2 v^2.
         v = np.sqrt(4 * PARAMS.Pe / 2.0)  # power = 4 Pe
-        out = project_feasible(t.replace(np.full_like(t.L, v)), PARAMS, 0.01)
+        out = project_feasible(t.replace(np.full_like(t.L, v)), PARAMS)
         np.testing.assert_allclose(out.L, v / 2.0)
 
     def test_clamp(self):
         t = template()
         L = np.full_like(t.L, 1.0)
         L[0] = -0.5
-        out = project_feasible(t.replace(L), PARAMS, 0.01)
+        out = project_feasible(t.replace(L), PARAMS)
         assert out.L[0] == 0.01
 
     def test_per_user_blocks_independent(self):
         t = template()
         L = np.full_like(t.L, 1.0)
         L[:8] = 10.0  # user 1 over budget (power 200), others fine
-        out = project_feasible(t.replace(L), PARAMS, 0.01)
+        out = project_feasible(t.replace(L), PARAMS)
         assert np.all(out.L[:8] < 10.0)
         np.testing.assert_array_equal(out.L[8:], 1.0)
 
@@ -105,20 +105,20 @@ class TestProjectFeasible:
 class TestRandomInit:
     def test_deterministic(self):
         t = template()
-        a = random_init(PARAMS, 5, 0.01, t)
-        b = random_init(PARAMS, 5, 0.01, t)
+        a = random_init(PARAMS, 5, t)
+        b = random_init(PARAMS, 5, t)
         np.testing.assert_array_equal(a.L, b.L)
 
     def test_seeds_differ(self):
         t = template()
-        a = random_init(PARAMS, 0, 0.01, t)
-        b = random_init(PARAMS, 1, 0.01, t)
+        a = random_init(PARAMS, 0, t)
+        b = random_init(PARAMS, 1, t)
         assert np.any(a.L != b.L)
 
     def test_feasible(self):
         t = template()
         for seed in range(10):
-            x = random_init(PARAMS, seed, 0.01, t)
+            x = random_init(PARAMS, seed, t)
             assert np.all(x.L >= 0.01)
             for j in range(PARAMS.J):
                 block = x.L[j * 8 : (j + 1) * 8]
@@ -129,7 +129,7 @@ class TestInnerSolve:
     def test_no_ascent(self):
         t = template()
         for seed in range(5):
-            x0 = random_init(PARAMS, seed, 0.01, t)
+            x0 = random_init(PARAMS, seed, t)
             f0 = logsumexp_objective(x0, 10.0, PARAMS.varsigma2)
             f, _ = inner_solve(x0, 10.0, PARAMS, FAST)
             assert f <= f0 + 1e-12
@@ -138,7 +138,7 @@ class TestInnerSolve:
         t = template()
         improved = 0
         for seed in range(20):
-            x0 = random_init(PARAMS, 100 + seed, 0.01, t)
+            x0 = random_init(PARAMS, 100 + seed, t)
             f0 = logsumexp_objective(x0, 10.0, PARAMS.varsigma2)
             f, _ = inner_solve(x0, 10.0, PARAMS, FAST)
             improved += f < f0
@@ -146,7 +146,7 @@ class TestInnerSolve:
 
     def test_feasible_output(self):
         t = template()
-        x0 = random_init(PARAMS, 2, 0.01, t)
+        x0 = random_init(PARAMS, 2, t)
         _, x = inner_solve(x0, 10.0, PARAMS, FAST)
         # The power rescale after clamping can dip entries a hair under the
         # floor; design() repairs that at the end. Entries stay positive and
@@ -215,7 +215,7 @@ class TestDesign:
 
 class TestStepUnderflow:
     def test_zero_step_rejects(self):
-        x = random_init(PARAMS, 0, 0.01, template())
+        x = random_init(PARAMS, 0, template())
         # An entry below the floor: the projection alone moves the point.
         L = x.L.copy()
         L[0] = 0.0
