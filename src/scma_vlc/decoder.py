@@ -6,11 +6,11 @@ input-dependent per-resource noise variance: Max-Log (the marginalizer is
 oracle sits beside them. Inside the kernel the frame axis is last and the
 frames run in tiles sized to stay in cache: each resource's channel metric is
 one (M,)*d + (tile,) array, messages are (M, T) arrays indexed by edge, and a
-message meets its axis of the metric by reshape. A resource
-update marginalizes one neighbour axis at a time, right after adding that
+message meets its axis of the metric by reshape. A resource update
+marginalizes one neighbour axis at a time, right after adding that
 neighbour's message, and shares the reduced prefix between positions; with
-``max`` each message is the same float as one joint max over the other
-axes. The public batch function takes frames on axis 0; the single-vector
+``max`` each message is the same float as one joint max over the other axes.
+The public batch function takes frames on axis 0; the single-vector
 functions wrap a batch of one. Each resource's users, superimposed values and
 combination order come from model.resource_layout, shared with the designer
 and the union bound. On a cycle-free graph the kernel stops after the number
