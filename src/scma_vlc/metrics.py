@@ -29,11 +29,11 @@ from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py 
 # as conventionally quoted to 4 significant digits.
 CHI2_2_Q95 = 5.991
 
-# Pairs per bincount of the gradient over the static pair indices. numpy
-# widens each index block to intp (8 bytes per pair), so this bounds that
-# temporary; it holds every pair up to J=5 (523,776), splitting only J=6
-# (8,386,560). The block sums are added in order, so the gradient's rounding
-# depends on this value.
+# Pairs per bincount of the gradient over the static pair indices. Each index
+# block is widened to intp (8 bytes per pair) in the workspace's index buffer,
+# so this bounds that buffer; it holds every pair up to J=5 (523,776),
+# splitting only J=6 (8,386,560). The block sums are added in order, so the
+# gradient's rounding depends on this value.
 _GATHER_CHUNK = 1 << 20
 
 # Pairs per step of the distance gather (any value gives the same floats).
@@ -42,6 +42,10 @@ _GATHER_CHUNK = 1 << 20
 # made glibc grow and trim the heap on every call, about 27,000 page faults
 # per design, against about 500 with this step.
 _TAKE_CHUNK = 1 << 14
+
+# Distance slots per structure: the designer's current point and its line
+# search candidate alternate over two.
+_DISTANCE_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,55 @@ class ResourceStructure:
     pair_flat: np.ndarray
 
 
+class PairWorkspace:
+    """Pair-sized buffers shared by the StackedVectors of one structure.
+
+    The objective and gradient need arrays with one entry per point pair:
+    the distances, the shifted exponentials (or softmin weights) and the intp
+    pair indices that np.bincount reads. At J=4 each is 261 KB, above glibc's
+    default 128 KiB mmap threshold, so allocating them per call made the heap
+    grow and trim on every call (about 31,000 minor faults per design-j4
+    design). The workspace allocates them once, on first use, and reuses them.
+
+    It holds _DISTANCE_SLOTS distance arrays, each tagged with the vector key
+    and varsigma2 whose distances it holds; a miss refills the least recently
+    used slot. Not thread-safe: vectors that share a workspace must not be
+    evaluated concurrently.
+    """
+
+    def __init__(self, n_pairs: int):
+        self.n_pairs = n_pairs
+        self._slots: list[tuple[object, float, np.ndarray]] = []  # least recent first
+        self._exp: np.ndarray | None = None
+        self._index: np.ndarray | None = None
+
+    def distances(self, key: object, varsigma2: float, fill) -> np.ndarray:
+        """The slot holding the distances of (key, varsigma2); fill(out) fills a missing one."""
+        for i, (k, vs2, d) in enumerate(self._slots):
+            if k is key and vs2 == varsigma2:
+                self._slots.append(self._slots.pop(i))
+                return d
+        if len(self._slots) < _DISTANCE_SLOTS:
+            d = np.empty(self.n_pairs)
+        else:
+            _, _, d = self._slots.pop(0)
+        fill(d)
+        self._slots.append((key, varsigma2, d))
+        return d
+
+    def exp_buffer(self) -> np.ndarray:
+        """Scratch for the shifted exponentials and the softmin weights."""
+        if self._exp is None:
+            self._exp = np.empty(self.n_pairs)
+        return self._exp
+
+    def index_buffer(self) -> np.ndarray:
+        """Scratch for one intp block of at most _GATHER_CHUNK pair indices."""
+        if self._index is None:
+            self._index = np.empty(min(self.n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        return self._index
+
+
 @dataclass(frozen=True)
 class StackedVector:
     """Stacked constellation entries plus the per-resource structure of the points.
@@ -64,28 +117,37 @@ class StackedVector:
     L concatenates vec(C_1), ..., vec(C_J) (row-major N x M blocks). The
     rotated distance of a pair is a sum over resources of a term that depends
     only on the two points' values there, so all pair distances are gathered
-    from one small Q x Q table per resource. The distances of the last
-    varsigma2 asked for are cached on the instance; L must therefore not be
-    changed in place (use replace, which starts with an empty cache).
+    from one small Q x Q table per resource. Vectors of one structure (built
+    by stack_codebook_set and derived by replace) share one PairWorkspace, in
+    which the distances of the last few (vector, varsigma2) evaluated are
+    kept; L must therefore not be changed in place (use replace, which gives
+    the new vector its own key).
     """
 
     L: np.ndarray
     resources: tuple[ResourceStructure, ...]
     n_points: int
-    _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    workspace: PairWorkspace = field(repr=False, compare=False)
+    _key: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     def replace(self, L: np.ndarray) -> "StackedVector":
-        return StackedVector(L=L, resources=self.resources, n_points=self.n_points)
+        return StackedVector(L=L, resources=self.resources, n_points=self.n_points,
+                             workspace=self.workspace)
 
     def distances(self, varsigma2: float) -> np.ndarray:
-        """Read-only rotated distances of all unordered point pairs (triu order)."""
-        d = self._distances.get(varsigma2)
-        if d is None:
-            d = _gather_distances([r.layout.values(self.L) for r in self.resources],
-                                  [r.pair_flat for r in self.resources], varsigma2)
-            d.flags.writeable = False
-            self._distances.clear()
-            self._distances[varsigma2] = d
+        """Read-only rotated distances of all unordered point pairs (triu order).
+
+        The array is a view of a workspace slot. It stays valid until the
+        distances of _DISTANCE_SLOTS other (vector, varsigma2) combinations of
+        this structure have been computed (distances, logsumexp_objective and
+        logsumexp_gradient compute them); copy it to keep it longer.
+        """
+        def fill(out):
+            _gather_distances([r.layout.values(self.L) for r in self.resources],
+                              [r.pair_flat for r in self.resources], varsigma2, out)
+
+        d = self.workspace.distances(self._key, varsigma2, fill).view()
+        d.flags.writeable = False
         return d
 
 
@@ -115,7 +177,9 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
         ResourceStructure(layout=r, pair_flat=_pair_flat(r.combos(digits), len(r.cols)))
         for r in layout
     )
-    return StackedVector(L=L, resources=resources, n_points=len(digits))
+    P = len(digits)
+    return StackedVector(L=L, resources=resources, n_points=P,
+                         workspace=PairWorkspace(P * (P - 1) // 2))
 
 
 def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
@@ -142,28 +206,35 @@ def _table_parts(v: np.ndarray, varsigma2: float):
 
 
 def _gather_distances(values: list[np.ndarray], pair_flats: list[np.ndarray],
-                      varsigma2: float) -> np.ndarray:
-    """Rotated pair distances from per-resource values and pair indices.
+                      varsigma2: float, out: np.ndarray) -> np.ndarray:
+    """Rotated pair distances from per-resource values and pair indices, into out.
 
     Resource k contributes entry pair_flats[k][p] of the table diff^2 / root
-    of its values; terms are added in resource order, which defines the
-    result. The gather runs in chunks of pairs.
+    of its values; out is zeroed and the terms are added in resource order,
+    which defines the result. The gather runs in chunks of pairs.
     """
     tables = []
     for v in values:
         diff, _, root = _table_parts(v, varsigma2)
         tables.append(diff * diff / root)
-    d = np.zeros(len(pair_flats[0]))
-    for lo in range(0, len(d), _TAKE_CHUNK):
-        part = d[lo:lo + _TAKE_CHUNK]
+    out.fill(0.0)
+    for lo in range(0, len(out), _TAKE_CHUNK):
+        part = out[lo:lo + _TAKE_CHUNK]
         for table, flat in zip(tables, pair_flats):
             part += np.take(table, flat[lo:lo + _TAKE_CHUNK])
-    return d
+    return out
 
 
 def _check_varsigma2(varsigma2: float) -> None:
     if not (isfinite(varsigma2) and varsigma2 >= 0):
         raise DomainError(f"varsigma2 must be finite and >= 0, got {varsigma2}")
+
+
+def _check_noise(sigma2: float, varsigma2: float) -> None:
+    """Raise DomainError unless sigma2 is finite and > 0 and varsigma2 finite and >= 0."""
+    if not (isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"sigma2 must be finite and > 0, got {sigma2}")
+    _check_varsigma2(varsigma2)
 
 
 def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
@@ -210,7 +281,7 @@ def pairwise_report(
         v, a = np.unique(column, return_inverse=True)
         values.append(v)
         pair_flats.append(_pair_flat(a, len(v)))
-    d = _gather_distances(values, pair_flats, varsigma2)
+    d = _gather_distances(values, pair_flats, varsigma2, np.empty(len(pair_flats[0])))
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
@@ -224,11 +295,29 @@ def _check_stacked(L: StackedVector, beta: float, varsigma2: float):
         raise DomainError("stacked constellation entries must be nonnegative")
 
 
-def _shifted_exp(d: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta * (d - min d)) in a single new array."""
-    e = d - d.min()
-    e *= -beta
-    return np.exp(e, out=e)
+def _shifted_exp(d: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """exp(-beta * (d - min d)), computed in out."""
+    np.subtract(d, d.min(), out=out)
+    out *= -beta
+    return np.exp(out, out=out)
+
+
+def _bin_pairs(flat: np.ndarray, w: np.ndarray, index: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sum of the pair weights w per entry of flat, over blocks of len(index) pairs.
+
+    Each block of indices is copied into the intp buffer index, so np.bincount
+    reads it without making its own copy; the block sums are added in order.
+    """
+    W = None
+    for lo in range(0, len(w), len(index)):
+        block = index[:len(w) - lo]
+        np.copyto(block, flat[lo:lo + len(block)])
+        part = np.bincount(block, weights=w[lo:lo + len(block)], minlength=n_bins)
+        if W is None:
+            W = part
+        else:
+            W += part
+    return W
 
 
 def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> float:
@@ -239,7 +328,8 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
     """
     _check_stacked(L, beta, varsigma2)
     d = L.distances(varsigma2)
-    return float(np.log(np.sum(_shifted_exp(d, beta))) / beta - d.min())
+    e = _shifted_exp(d, beta, L.workspace.exp_buffer())
+    return float(np.log(np.sum(e)) / beta - d.min())
 
 
 def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.ndarray:
@@ -250,18 +340,14 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     value gradients are binned onto the entries of L.
     """
     _check_stacked(L, beta, varsigma2)
-    w = _shifted_exp(L.distances(varsigma2), beta)
+    w = _shifted_exp(L.distances(varsigma2), beta, L.workspace.exp_buffer())
     w /= w.sum()
+    index = L.workspace.index_buffer()
 
     cols, weights = [], []
     for r in L.resources:
         Q = len(r.layout.cols)
-        W = np.bincount(r.pair_flat[:_GATHER_CHUNK], weights=w[:_GATHER_CHUNK],
-                        minlength=Q * Q)
-        for lo in range(_GATHER_CHUNK, len(w), _GATHER_CHUNK):
-            hi = lo + _GATHER_CHUNK
-            W += np.bincount(r.pair_flat[lo:hi], weights=w[lo:hi], minlength=Q * Q)
-        W = W.reshape(Q, Q)
+        W = _bin_pairs(r.pair_flat, w, index, Q * Q).reshape(Q, Q)
         diff, g, root = _table_parts(r.layout.values(L.L), varsigma2)
         # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
         # weights of the pairs where it is the first or the second point.
@@ -283,6 +369,7 @@ def epd_ellipses(
     semi-axis along dimension n is sqrt(q * (varsigma2*sigma2*c_n + sigma2))
     with q the chi-square(2) quantile at the requested confidence.
     """
+    _check_noise(sigma2, varsigma2)
     if book.C.shape[0] != 2:
         raise UnsupportedError("EPD ellipses are defined for 2D constellations (N = 2)")
     if not 0 < confidence < 1:

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .decoder import DEFAULT_ITERS, _build_tables, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import ConfigError, DomainError
+from .metrics import _check_noise
 from .model import CodebookSet, SystemParams, scale_codebook_set
 from .model import point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
@@ -51,7 +51,13 @@ class BerPoint:
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2))."""
+    """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2)).
+
+    scipy.special is imported here, not with the package: it is most of the
+    package's import time, and only the union bound and pep_idgn need it.
+    """
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -66,8 +72,10 @@ def add_idgn(
 
     Componentwise: y_k ~ N(s_k, sigma2 * (1 + varsigma2 * s_k)). Pass `rng` to
     continue an already-open generator instead of restarting the stream.
-    Raises DomainError for a negative, NaN or infinite intensity.
+    Raises DomainError for a negative, NaN or infinite intensity, a sigma2
+    that is not finite and > 0 or a varsigma2 that is not finite and >= 0.
     """
+    _check_noise(sigma2, varsigma2)
     s = np.asarray(s, dtype=float)
     # sqrt is NaN for a negative or NaN entry and inf for +inf, so one
     # maximum over the roots checks every entry.
@@ -88,6 +96,7 @@ def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) 
     Uses the transmitted point's variances, so the function is intentionally
     asymmetric in its arguments when intensities differ.
     """
+    _check_noise(sigma2, varsigma2)
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
     if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
@@ -151,6 +160,15 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     return float(total) / (n_bits * P)
 
 
+def _check_stops(min_bit_errors: int | None, max_frames: int | None) -> None:
+    """Raise ConfigError unless at least one stopping bound is given and each is >= 1."""
+    if min_bit_errors is None and max_frames is None:
+        raise ConfigError("need at least one stopping bound (min_bit_errors/max_frames)")
+    for name, v in (("min_bit_errors", min_bit_errors), ("max_frames", max_frames)):
+        if v is not None and v < 1:
+            raise ConfigError(f"{name} must be >= 1, got {v}")
+
+
 def simulate_ber(
     cb_set: CodebookSet,
     n_iters: int = DEFAULT_ITERS,
@@ -164,8 +182,7 @@ def simulate_ber(
     Frames run in blocks with per-block deterministic streams, stopping once
     min_bit_errors errors have accumulated or max_frames frames were sent.
     """
-    if min_bit_errors is None and max_frames is None:
-        raise ConfigError("need at least one stopping bound (min_bit_errors/max_frames)")
+    _check_stops(min_bit_errors, max_frames)
     p = cb_set.params
     b = p.bits_per_symbol
     tables = _build_tables(cb_set)
@@ -200,9 +217,10 @@ def simulate_ber(
         frames += T
         block_id += 1
 
+    # Both bounds are >= 1, so at least one block ran and bits_sent > 0.
     bits_sent = frames * p.J * b
-    ber = errors / bits_sent if bits_sent else 0.0
-    ci = 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / bits_sent) if bits_sent else 0.0
+    ber = errors / bits_sent
+    ci = 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / bits_sent)
     ana = analytical_ber(cb_set) if compute_analytical else float("nan")
     return BerPoint(
         pe=p.Pe,
@@ -210,7 +228,7 @@ def simulate_ber(
         bit_errors=errors,
         ber_sim=ber,
         ber_analytical=ana,
-        per_user_ber=per_user_errors / (frames * b) if frames else np.zeros(p.J),
+        per_user_ber=per_user_errors / (frames * b),
         ci95_halfwidth=float(ci),
     )
 
@@ -244,6 +262,7 @@ def sweep(
         raise ConfigError("scale mode needs a codebook set")
     if mode == "redesign" and design_params is None:
         raise ConfigError("redesign mode needs design parameters")
+    _check_stops(min_bit_errors, max_frames)
 
     points = []
     for pe in pe_list:

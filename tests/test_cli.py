@@ -185,6 +185,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "b.csv").exists()
 
+    def test_zero_max_frames_is_config_error(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        rc = main(["simulate", "--cb", str(fixture_file), "--max-frames", "0",
+                   "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert "max_frames" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_records_wall_time_and_environment(self, fixture_file, tmp_path):
         out = tmp_path / "ber.csv"
         assert main(["simulate", "--cb", str(fixture_file), "--max-frames", "100",

@@ -324,6 +324,55 @@ class TestStructuralKernel:
                                    atol=1e-12 * np.abs(single_g).max())
 
 
+def _gather_reference(values, pair_flats, varsigma2):
+    """The chunked distance gather as it was before the pair workspace: a new
+    zeroed array per call, resource terms added in order per chunk of pairs."""
+    tables = []
+    for v in values:
+        g = varsigma2 * v + 1.0
+        diff = v[:, None] - v[None, :]
+        tables.append(diff * diff / np.sqrt(g[:, None] * g[None, :]))
+    d = np.zeros(len(pair_flats[0]))
+    for lo in range(0, len(d), 1 << 14):
+        part = d[lo:lo + (1 << 14)]
+        for table, flat in zip(tables, pair_flats):
+            part += np.take(table, flat[lo:lo + (1 << 14)])
+    return d
+
+
+class TestPairWorkspace:
+    """Vectors of one structure share distance slots; none reads another's."""
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5"])
+    def test_no_aliasing_across_candidates(self, name):
+        x = stack_codebook_set(load_fixture(name))
+        rng = np.random.default_rng(0)
+        cands = [x.replace(x.L * rng.uniform(0.9, 1.1, x.L.size)) for _ in range(2)]
+        vs2 = 5.0
+
+        def evaluate(v):
+            return logsumexp_objective(v, 10.0, vs2), logsumexp_gradient(v, 10.0, vs2)
+
+        f0, g0 = evaluate(x)
+        at_cands = [evaluate(c) for c in cands]
+        f1, g1 = evaluate(x)
+        assert f1 == f0
+        np.testing.assert_array_equal(g1, g0)
+        # Each candidate got its own distances, not x's or the other's.
+        for (f, g), c in zip(at_cands, cands):
+            assert f != f0
+            assert f == logsumexp_objective(stack_codebook_set(load_fixture(name)).replace(c.L),
+                                            10.0, vs2)
+        want = _gather_reference([r.layout.values(x.L) for r in x.resources],
+                                 [r.pair_flat for r in x.resources], vs2)
+        np.testing.assert_array_equal(x.distances(vs2), want)
+
+    def test_shared_by_replace_only(self, ls_j3):
+        x = stack_codebook_set(ls_j3)
+        assert x.replace(x.L).workspace is x.workspace
+        assert stack_codebook_set(ls_j3).workspace is not x.workspace
+
+
 class TestEpdEllipses:
     def test_axes_from_variances(self, ls_j3):
         p = ls_j3.params
@@ -357,3 +406,11 @@ class TestEpdEllipses:
     def test_bad_confidence(self, ls_j3):
         with pytest.raises(DomainError):
             epd_ellipses(ls_j3.books[0], 0.01, 5.0, confidence=1.0)
+
+    @pytest.mark.parametrize("sigma2, varsigma2", [
+        (np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (np.inf, 1.0),
+        (1.0, -5.0), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_rejects_bad_noise_params(self, ls_j3, sigma2, varsigma2):
+        with pytest.raises(DomainError):
+            epd_ellipses(ls_j3.books[0], sigma2, varsigma2)

@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scma_vlc
 from scma_vlc import (
     SystemParams,
     TrialStream,
@@ -48,6 +54,12 @@ def _chunked_union_bound(cb_set):
     return total / (n_bits * P)
 
 
+# (sigma2, varsigma2) pairs outside the domain: sigma2 finite and > 0,
+# varsigma2 finite and >= 0.
+BAD_NOISE = [(np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (np.inf, 1.0),
+             (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)]
+
+
 def _at(cb_set, varsigma2, pe):
     """cb_set rescaled to power pe, with shot-noise factor varsigma2."""
     scaled = scale_codebook_set(cb_set, pe)
@@ -62,6 +74,31 @@ class TestQfunc:
 
     def test_symmetry(self):
         assert abs(qfunc(1.3) + qfunc(-1.3) - 1.0) < 1e-15
+
+
+class TestColdImport:
+    def test_package_import_leaves_scipy_special_unloaded(self):
+        # Importing the package and its CLI must not load scipy.special (most
+        # of the import time); the first Q-function call loads it and gives
+        # the same floats as in this process.
+        code = (
+            "import json, sys\n"
+            "import scma_vlc, scma_vlc.cli\n"
+            "cold = 'scipy.special' in sys.modules\n"
+            "from scma_vlc import analytical_ber, load_fixture, qfunc\n"
+            "print(json.dumps({'loaded_by_import': cold,\n"
+            "    'q': float(qfunc(1.6448536269514722)).hex(),\n"
+            "    'ber': analytical_ber(load_fixture('ls-j3')).hex()}))\n"
+        )
+        src = str(Path(scma_vlc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        got = json.loads(out.stdout)
+        assert got["loaded_by_import"] is False
+        assert got["q"] == float(qfunc(1.6448536269514722)).hex()
+        assert got["ber"] == analytical_ber(load_fixture("ls-j3")).hex()
 
 
 class TestTrialStream:
@@ -89,6 +126,11 @@ class TestAddIdgn:
         with pytest.raises(DomainError):
             add_idgn(np.array([[1.0, 2.0], [3.0, bad]]), 0.01, varsigma2,
                      TrialStream(seed=0))
+
+    @pytest.mark.parametrize("sigma2, varsigma2", BAD_NOISE)
+    def test_rejects_bad_noise_params(self, sigma2, varsigma2):
+        with pytest.raises(DomainError):
+            add_idgn(np.ones(4), sigma2, varsigma2, TrialStream(seed=0))
 
     def test_mean_and_variance(self):
         # Empirical variance must track sigma2 * (1 + varsigma2 * s).
@@ -135,6 +177,11 @@ class TestPep:
             pep_idgn(np.array([bad, 1.0]), np.array([0.0, 1.0]), 0.01, 1.0)
         with pytest.raises(DomainError):
             pep_idgn(np.array([0.0, 1.0]), np.array([1.0, bad]), 0.01, 1.0)
+
+    @pytest.mark.parametrize("sigma2, varsigma2", BAD_NOISE)
+    def test_rejects_bad_noise_params(self, sigma2, varsigma2):
+        with pytest.raises(DomainError):
+            pep_idgn(np.array([0.0, 1.0]), np.array([1.0, 0.5]), sigma2, varsigma2)
 
 
 class TestAnalyticalBer:
@@ -232,6 +279,13 @@ class TestSimulateBer:
         with pytest.raises(ConfigError):
             simulate_ber(ls_j3, min_bit_errors=None, max_frames=None)
 
+    @pytest.mark.parametrize("min_bit_errors, max_frames", [
+        (None, -5), (None, 0), (-1, None), (0, None), (0, 100), (100, 0),
+    ])
+    def test_rejects_bounds_below_one(self, ls_j3, min_bit_errors, max_frames):
+        with pytest.raises(ConfigError):
+            simulate_ber(ls_j3, min_bit_errors=min_bit_errors, max_frames=max_frames)
+
     def test_reports_fields(self, ls_j3):
         cb = scale_codebook_set(ls_j3, 5.0)
         pt = simulate_ber(cb, min_bit_errors=50, max_frames=100_000)
@@ -257,6 +311,11 @@ class TestSweep:
             sweep([1.0, 2.0], mode="scale")
         with pytest.raises(ConfigError):
             sweep([1.0, 2.0], mode="redesign")
+        with pytest.raises(ConfigError):
+            sweep([1.0, 2.0], cb_set=ls_j3, max_frames=0, min_bit_errors=None)
+        with pytest.raises(ConfigError):
+            sweep([1.0, 2.0], mode="redesign", design_params=SystemParams(J=2),
+                  min_bit_errors=-1, max_frames=None)
 
     def test_scale_mode_runs(self, ls_j3):
         pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=50, max_frames=50_000)
