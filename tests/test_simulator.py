@@ -24,10 +24,21 @@ from scma_vlc import (
     sweep,
 )
 from scma_vlc.errors import CapacityError, ConfigError, DomainError
-from scma_vlc.model import codebook_set_from_constellations
-from scma_vlc.simulator import _popcount
+from scma_vlc.model import Codebook, codebook_set_from_constellations
 
 from conftest import random_codebook_set
+
+# Set bits of each byte value.
+_POPCOUNT8 = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
+
+
+def _popcount(x):
+    """Number of set bits of each nonnegative integer in x, a byte at a time."""
+    out = np.zeros(x.shape, dtype=np.int64)
+    while x.any():
+        out += _POPCOUNT8[x & 0xFF]
+        x = x >> 8
+    return out
 
 
 def _chunked_union_bound(cb_set):
@@ -99,6 +110,24 @@ class TestColdImport:
         assert got["loaded_by_import"] is False
         assert got["q"] == float(qfunc(1.6448536269514722)).hex()
         assert got["ber"] == analytical_ber(load_fixture("ls-j3")).hex()
+
+    def test_bound_and_simulation_leave_scipy_special_unloaded(self):
+        # The union bound no longer calls erfc, so neither it nor a
+        # simulation that computes it loads scipy.special.
+        code = (
+            "import sys\n"
+            "from scma_vlc import analytical_ber, load_fixture, simulate_ber\n"
+            "analytical_ber(load_fixture('ls-j6'))\n"
+            "simulate_ber(load_fixture('ls-j3'), max_frames=100, min_bit_errors=None,\n"
+            "             compute_analytical=True)\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        src = str(Path(scma_vlc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestTrialStream:
@@ -230,6 +259,13 @@ class TestStructuralBound:
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
+    # Other graphs: J=2, and K=5 lexicographic supports with a degree-4 resource.
+    @pytest.mark.parametrize("J, K", [(2, 4), (5, 5)])
+    def test_matches_chunked_formula_other_graphs(self, J, K):
+        cb = random_codebook_set(J, seed=5, K=K)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
     def test_non_unit_gains(self):
         cb = load_fixture("ls-j4")
         gains = tuple(np.array([0.5, 1.0, 2.0, 1.0]) for _ in range(cb.params.J))
@@ -238,6 +274,37 @@ class TestStructuralBound:
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
         # The gains reach the bound: without them it is lower.
         assert analytical_ber(load_fixture("ls-j4")) < 0.9 * want
+
+    def test_craig_nodes_match_erfc_per_term(self):
+        # Each term Q(sqrt(x)) of the bound, on the node table, against erfc;
+        # above x ~ 1e2 the allowance is exp's own conditioning, x * eps.
+        c, w = simulator._craig_nodes()
+        x = np.logspace(-10, np.log10(1300.0), 500)
+        want = qfunc(np.sqrt(x))
+        got = np.exp(-np.outer(x, c)) @ w
+        assert np.all(np.abs(got - want) <= (1e-13 + 2 * x * 2.2e-16) * want)
+        assert np.exp(-0.0 * c) @ w == pytest.approx(0.5, rel=1e-15)
+
+    # Two codewords of user 1 equal or within eps: pairs whose argument is
+    # (nearly) zero, where a rule without nodes near theta = 0 is off by up
+    # to 1e-6 relative (plain 96-node Gauss-Legendre on [0, pi/2] fails).
+    @pytest.mark.parametrize("eps", [0.0, 1e-2, 1e-4, 1e-5])
+    @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
+    def test_near_coincident_codewords(self, eps, varsigma2):
+        cb = _at(load_fixture("ls-j3"), varsigma2, 30.0)
+        C = cb.books[0].C.copy()
+        C[:, 1] = C[:, 0] + eps
+        cb = replace(cb, books=(Codebook(C=C, user_index=1), *cb.books[1:]))
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
+    def test_high_snr(self):
+        # A bound near 1e-196: every term's argument is large, and the
+        # contraction must keep the terms that matter above its flush floor.
+        cb = _at(load_fixture("ls-j3"), 0.0, 60.0)
+        want = _chunked_union_bound(cb)
+        assert 1e-197 < want < 1e-194
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
     def test_hamming_distance_is_popcount_of_index_xor(self):
         labels = enumerate_superimposed(load_fixture("ls-j4")).bit_labels
@@ -286,6 +353,18 @@ class TestSimulateBer:
         with pytest.raises(ConfigError):
             simulate_ber(ls_j3, min_bit_errors=min_bit_errors, max_frames=max_frames)
 
+    @pytest.mark.parametrize("min_bit_errors, max_frames", [
+        (None, 2.5), (None, True), (2.5, None), (True, None), (100, 10.0), ("5", None),
+    ])
+    def test_rejects_non_integer_bounds(self, ls_j3, min_bit_errors, max_frames):
+        with pytest.raises(ConfigError):
+            simulate_ber(ls_j3, min_bit_errors=min_bit_errors, max_frames=max_frames)
+
+    def test_accepts_numpy_integer_bounds(self, ls_j3):
+        pt = simulate_ber(ls_j3, min_bit_errors=None, max_frames=np.int64(10),
+                          compute_analytical=False)
+        assert pt.bits_sent == 10 * 3 * 2
+
     def test_reports_fields(self, ls_j3):
         cb = scale_codebook_set(ls_j3, 5.0)
         pt = simulate_ber(cb, min_bit_errors=50, max_frames=100_000)
@@ -316,6 +395,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep([1.0, 2.0], mode="redesign", design_params=SystemParams(J=2),
                   min_bit_errors=-1, max_frames=None)
+
+    @pytest.mark.parametrize("min_bit_errors, max_frames", [
+        (None, 2.5), (None, True), (2.5, None), (False, 100),
+    ])
+    def test_rejects_non_integer_bounds(self, ls_j3, min_bit_errors, max_frames):
+        with pytest.raises(ConfigError):
+            sweep([1.0, 2.0], cb_set=ls_j3, min_bit_errors=min_bit_errors,
+                  max_frames=max_frames)
 
     def test_scale_mode_runs(self, ls_j3):
         pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=50, max_frames=50_000)
