@@ -266,6 +266,13 @@ class TestStructuralBound:
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
+    def test_single_resource(self):
+        # One factor: the contraction is a single reduction.
+        params = SystemParams(J=1, K=1, N=1, sigma2=0.01, varsigma2=1.0, Pe=30.0)
+        cb = codebook_set_from_constellations(params, [np.array([[0.5, 2.0, 4.5, 8.0]])])
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
     def test_non_unit_gains(self):
         cb = load_fixture("ls-j4")
         gains = tuple(np.array([0.5, 1.0, 2.0, 1.0]) for _ in range(cb.params.J))
