@@ -161,7 +161,8 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     the Hamming distance between the labels of x_u and x'_u (zero on the
     diagonal). So at each node of a fixed quadrature rule the bit-weighted
     sum over all P^2 pairs is one pair-state contraction of the factors
-    exp(-c_n T_k), and no pair-sized array is built. The 153-node rule
+    exp(-c_n T_k), and no pair-sized array is built; the factors carry a
+    fixed scale e^(_SHIFT / K) (see _SHIFT). The 153-node rule
     (_craig_nodes) is within 2.3e-13 relative of erfc per term for arg^2 in
     [1e-10, 1300] and exact at arg = 0; the bound agrees with the pairwise
     erfc formula within 1e-13 relative on the fixtures. Raises CapacityError
@@ -199,7 +200,7 @@ def analytical_ber(cb_set: CodebookSet) -> float:
         cn = c[lo:lo + step, None]
         # Clamped above exp's slow underflow range; the contraction flushes
         # the clamped entries (e^-400 < 2^-511) to zero.
-        factors = [np.exp(np.maximum(shift - cn * t, -400.0)).reshape((len(cn),) + (S,) * len(r.users))
+        factors = [np.exp(np.maximum(shift - cn * t, -400.0)).reshape((-1,) + (S,) * len(r.users))
                    for t, r in zip(tables, layout)]
         total += w[lo:lo + step] @ plan.contract(factors, weight)
     return float(total * np.exp(-_SHIFT)) / (p.J * p.bits_per_symbol * p.M**p.J)

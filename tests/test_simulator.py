@@ -266,10 +266,13 @@ class TestStructuralBound:
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
-    def test_single_resource(self):
-        # One factor: the contraction is a single reduction.
-        params = SystemParams(J=1, K=1, N=1, sigma2=0.01, varsigma2=1.0, Pe=30.0)
-        cb = codebook_set_from_constellations(params, [np.array([[0.5, 2.0, 4.5, 8.0]])])
+    # One resource (the contraction is a single reduction), and one user per
+    # resource (each factor is summed out before the two are multiplied).
+    @pytest.mark.parametrize("J, K", [(1, 1), (2, 2)])
+    def test_one_row_per_user(self, J, K):
+        params = SystemParams(J=J, K=K, N=1, sigma2=0.01, varsigma2=1.0, Pe=30.0)
+        books = [np.array([[0.5, 2.0, 4.5, 8.0]]), np.array([[1.0, 3.0, 6.0, 7.5]])]
+        cb = codebook_set_from_constellations(params, books[:J])
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
