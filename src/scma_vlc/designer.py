@@ -59,7 +59,7 @@ class DesignConfig:
             raise ValueError("beta_schedule entries must be finite and > 0")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
             raise ValueError("beta_schedule must be strictly increasing")
-        for name, least in (("starts", 1), ("max_inner_iters", 0)):
+        for name, least in (("starts", 1), ("max_inner_iters", 0), ("seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")

@@ -21,7 +21,9 @@ DEFAULT_MAX_FRAMES = 1_000_000
 _FRAME_BLOCK = 4096
 
 # Memory budget of one batch of quadrature nodes in the union bound (at
-# J=6 a node takes about 2.4 MB).
+# J=6 a node takes about 2.4 MB, so a batch holds 3 nodes; on the J <= 4
+# fixtures all 153 fit in one). The bound can stop after any batch
+# (_BOUND_STOP).
 _BOUND_BYTES = 8 * 1024 * 1024
 
 # The bound's factors are exp(_SHIFT / K - c T_k) over the K resources that
@@ -34,6 +36,10 @@ _BOUND_BYTES = 8 * 1024 * 1024
 # has arg^2 below about 950, a bound above about 1e-205 (on ls-j3 the bound
 # still agrees with erfc within 2e-13 at 7e-260).
 _SHIFT = 640.0
+
+# The union bound stops after a batch once the nodes not yet run can add at
+# most this fraction of the total, far below its rounding error (2^-53).
+_BOUND_STOP = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,10 @@ def _craig_nodes() -> tuple[np.ndarray, np.ndarray]:
     96 in s = ln(0.3 / t) on s in [0, 12], which resolve the integrand's
     edge near t ~ sqrt(x) for small x; and the midpoint of the rest,
     [0, 0.3 e^-12], so that Q(0) = 1/2 exactly. Against erfc the relative
-    error is below 2.3e-13 for x in [1e-10, 1300]. Built on first use, so
-    that importing the package does not load numpy.polynomial.
+    error is below 2.3e-13 for x in [1e-10, 1300]. The nodes are in order of
+    ascending c, so each term exp(-c_n x) does not grow along the table.
+    Built on first use, so that importing the package does not load
+    numpy.polynomial.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -143,6 +151,8 @@ def _craig_nodes() -> tuple[np.ndarray, np.ndarray]:
     t = np.concatenate([t_top, t_low, [tail / 2]])
     c = 1.0 / (2.0 * np.sin(t) ** 2)
     w = np.concatenate([w_top, w_low, [tail]]) / np.pi
+    order = np.argsort(c)
+    c, w = c[order], w[order]
     c.flags.writeable = w.flags.writeable = False
     return c, w
 
@@ -165,8 +175,16 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     fixed scale e^(_SHIFT / K) (see _SHIFT). The 153-node rule
     (_craig_nodes) is within 2.3e-13 relative of erfc per term for arg^2 in
     [1e-10, 1300] and exact at arg = 0; the bound agrees with the pairwise
-    erfc formula within 1e-13 relative on the fixtures. Raises CapacityError
-    when M^J exceeds DEFAULT_MAX_POINTS.
+    erfc formula within 1e-13 relative on the fixtures.
+
+    How many of the 153 nodes run depends on the book. The nodes run in
+    order of ascending c, in batches of _BOUND_BYTES. Along that order no
+    factor entry grows, so neither does a node's value; a node at which the
+    flush leaves every factor diagonal adds exactly 0 and is not run, and
+    the loop stops after a batch once the nodes left can add at most
+    _BOUND_STOP of the total (at Pe 20 and varsigma2 5, ls-j6 runs 84
+    nodes and ls-j5 90; ls-j3 and ls-j4 run as one batch). Raises
+    CapacityError when M^J exceeds DEFAULT_MAX_POINTS.
     """
     p = cb_set.params
     if p.M**p.J > DEFAULT_MAX_POINTS:
@@ -191,30 +209,41 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     c, w = _craig_nodes()
     # Where c T_k > shift + 360 on every a != b entry, the flush leaves each
     # factor diagonal: every pair with a differing user has product 0, so
-    # the node adds exactly 0 and is skipped.
+    # the node adds exactly 0 and is skipped. c ascends, so the skipped
+    # nodes are the table's tail.
     keep = c * gap <= shift + 360.0
     c, w = c[keep], w[keep]
+    rest = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # rest[i]: the weight from node i on
     step = max(1, _BOUND_BYTES // plan.node_bytes)
     total = 0.0
     for lo in range(0, len(c), step):
-        cn = c[lo:lo + step, None]
+        hi = min(lo + step, len(c))
+        cn = c[lo:hi, None]
         # Clamped above exp's slow underflow range; the contraction flushes
         # the clamped entries (e^-400 < 2^-511) to zero.
         factors = [np.exp(np.maximum(shift - cn * t, -400.0)).reshape((-1,) + (S,) * len(r.users))
                    for t, r in zip(tables, layout)]
-        total += w[lo:lo + step] @ plan.contract(factors, weight)
+        vals = plan.contract(factors, weight)
+        total += w[lo:hi] @ vals
+        # No factor entry grows with c, and the contraction's products, sums
+        # and flush are monotone, so no later node's value exceeds vals[-1].
+        if vals[-1] * rest[hi] <= _BOUND_STOP * total:
+            break
     return float(total * np.exp(-_SHIFT)) / (p.J * p.bits_per_symbol * p.M**p.J)
 
 
-def _check_stops(min_bit_errors: int | None, max_frames: int | None) -> None:
-    """Raise ConfigError unless at least one stopping bound is given and each is an integer >= 1."""
+def _check_run(n_iters: int, min_bit_errors: int | None, max_frames: int | None,
+               seed: int) -> None:
+    """Raise ConfigError unless n_iters >= 1, seed >= 0 and at least one
+    stopping bound is given, each bound >= 1; every one an integer."""
     if min_bit_errors is None and max_frames is None:
         raise ConfigError("need at least one stopping bound (min_bit_errors/max_frames)")
-    for name, v in (("min_bit_errors", min_bit_errors), ("max_frames", max_frames)):
-        if v is None:
+    for name, v, least in (("n_iters", n_iters, 1), ("seed", seed, 0),
+                           ("min_bit_errors", min_bit_errors, 1), ("max_frames", max_frames, 1)):
+        if v is None and name in ("min_bit_errors", "max_frames"):
             continue
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 def simulate_ber(
@@ -230,7 +259,7 @@ def simulate_ber(
     Frames run in blocks with per-block deterministic streams, stopping once
     min_bit_errors errors have accumulated or max_frames frames were sent.
     """
-    _check_stops(min_bit_errors, max_frames)
+    _check_run(n_iters, min_bit_errors, max_frames, seed)
     p = cb_set.params
     b = p.bits_per_symbol
     tables = _build_tables(cb_set)
@@ -310,7 +339,7 @@ def sweep(
         raise ConfigError("scale mode needs a codebook set")
     if mode == "redesign" and design_params is None:
         raise ConfigError("redesign mode needs design parameters")
-    _check_stops(min_bit_errors, max_frames)
+    _check_run(n_iters, min_bit_errors, max_frames, seed)
 
     points = []
     for pe in pe_list:

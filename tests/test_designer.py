@@ -63,6 +63,15 @@ class TestDesignConfig:
         cfg = DesignConfig(starts=np.int64(2), max_inner_iters=np.int32(3))
         assert (cfg.starts, cfg.max_inner_iters) == (2, 3)
 
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "0", None])
+    def test_seed_is_nonnegative_integer(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            DesignConfig(seed=value)
+
+    def test_numpy_integer_seed(self):
+        assert DesignConfig(seed=np.int64(7)).seed == 7
+        assert DesignConfig(seed=0).seed == 0
+
     def test_defaults(self):
         cfg = DesignConfig()
         assert cfg.beta_schedule == tuple(float(b) for b in range(1, 31))

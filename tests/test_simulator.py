@@ -24,7 +24,7 @@ from scma_vlc import (
     sweep,
 )
 from scma_vlc.errors import CapacityError, ConfigError, DomainError
-from scma_vlc.model import Codebook, codebook_set_from_constellations
+from scma_vlc.model import Codebook, PairStatePlan, codebook_set_from_constellations
 
 from conftest import random_codebook_set
 
@@ -75,6 +75,29 @@ def _at(cb_set, varsigma2, pe):
     """cb_set rescaled to power pe, with shot-noise factor varsigma2."""
     scaled = scale_codebook_set(cb_set, pe)
     return replace(scaled, params=replace(scaled.params, varsigma2=varsigma2))
+
+
+def _near_coincident(name, eps, varsigma2):
+    """Fixture `name` at Pe 30 with user 1's symbol-2 column at its symbol-1 column + eps."""
+    cb = _at(load_fixture(name), varsigma2, 30.0)
+    C = cb.books[0].C.copy()
+    C[:, 1] = C[:, 0] + eps
+    return replace(cb, books=(Codebook(C=C, user_index=1), *cb.books[1:]))
+
+
+@pytest.fixture
+def contract_values(monkeypatch):
+    """The per-node arrays PairStatePlan.contract returns, in call order."""
+    seen = []
+    contract = PairStatePlan.contract
+
+    def spy(self, factors, weight):
+        out = contract(self, factors, weight)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(PairStatePlan, "contract", spy)
+    return seen
 
 
 class TestQfunc:
@@ -301,12 +324,48 @@ class TestStructuralBound:
     @pytest.mark.parametrize("eps", [0.0, 1e-2, 1e-4, 1e-5])
     @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
     def test_near_coincident_codewords(self, eps, varsigma2):
-        cb = _at(load_fixture("ls-j3"), varsigma2, 30.0)
-        C = cb.books[0].C.copy()
-        C[:, 1] = C[:, 0] + eps
-        cb = replace(cb, books=(Codebook(C=C, user_index=1), *cb.books[1:]))
+        cb = _near_coincident("ls-j3", eps, varsigma2)
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+
+    # ls-j3 runs as one batch of nodes; ls-j5 runs in several, so the bound
+    # can stop after one of them.
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
+    def test_near_coincident_codewords_multi_batch(self, eps, varsigma2, contract_values):
+        cb = _near_coincident("ls-j5", eps, varsigma2)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+        assert len(contract_values) > 1
+
+    # A one-byte batch budget runs each node as its own batch, so the stop is
+    # tested after every node, on graphs that otherwise run one batch.
+    @pytest.mark.parametrize("cb", [
+        load_fixture("ls-j3"), load_fixture("ls-j4"), random_codebook_set(5, seed=5, K=5),
+    ], ids=["ls-j3", "ls-j4", "random-j5-k5"])
+    def test_one_node_per_batch(self, cb, monkeypatch, contract_values):
+        monkeypatch.setattr(simulator, "_BOUND_BYTES", 1)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+        assert all(len(v) == 1 for v in contract_values)
+        assert len(contract_values) < len(simulator._craig_nodes()[0])
+
+    def test_craig_nodes_ascend(self):
+        c, w = simulator._craig_nodes()
+        assert len(c) == len(w) == 153
+        assert np.all(np.diff(c) > 0)
+
+    # The stop rests on this: along ascending c, no node's value grows. With
+    # the stop turned off, every node that is not skipped as all-diagonal runs.
+    @pytest.mark.parametrize("cb", [
+        load_fixture("ls-j4"), random_codebook_set(5, seed=3, K=5),
+    ], ids=["ls-j4", "random-j5-k5"])
+    def test_node_values_do_not_grow(self, cb, monkeypatch, contract_values):
+        monkeypatch.setattr(simulator, "_BOUND_STOP", -np.inf)
+        analytical_ber(cb)
+        vals = np.concatenate(contract_values)
+        assert len(vals) > 100
+        assert np.all(np.diff(vals) <= 0)
 
     def test_high_snr(self):
         # A bound near 1e-196: every term's argument is large, and the
@@ -370,6 +429,24 @@ class TestSimulateBer:
         with pytest.raises(ConfigError):
             simulate_ber(ls_j3, min_bit_errors=min_bit_errors, max_frames=max_frames)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_iters", 0), ("n_iters", -1), ("n_iters", 2.5), ("n_iters", True), ("n_iters", None),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "0"),
+    ])
+    def test_rejects_bad_iters_and_seed(self, ls_j3, monkeypatch, name, value):
+        def decode(*args, **kw):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(simulator, "max_log_mpa_batch", decode)
+        with pytest.raises(ConfigError, match=name):
+            simulate_ber(ls_j3, max_frames=10, compute_analytical=False, **{name: value})
+
+    def test_accepts_numpy_integer_iters_and_seed(self, ls_j3):
+        a = simulate_ber(ls_j3, max_frames=10, n_iters=np.int64(2), seed=np.int32(4),
+                         compute_analytical=False)
+        b = simulate_ber(ls_j3, max_frames=10, n_iters=2, seed=4, compute_analytical=False)
+        assert a.bit_errors == b.bit_errors
+
     def test_accepts_numpy_integer_bounds(self, ls_j3):
         pt = simulate_ber(ls_j3, min_bit_errors=None, max_frames=np.int64(10),
                           compute_analytical=False)
@@ -413,6 +490,21 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep([1.0, 2.0], cb_set=ls_j3, min_bit_errors=min_bit_errors,
                   max_frames=max_frames)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_iters", 0), ("n_iters", 2.5), ("n_iters", True), ("seed", -1), ("seed", 1.5),
+        ("seed", False),
+    ])
+    @pytest.mark.parametrize("mode", ["scale", "redesign"])
+    def test_rejects_bad_iters_and_seed(self, ls_j3, monkeypatch, mode, name, value):
+        def fail(*args, **kw):
+            raise AssertionError("a design or a block ran")
+
+        monkeypatch.setattr(simulator, "design", fail)
+        monkeypatch.setattr(simulator, "max_log_mpa_batch", fail)
+        with pytest.raises(ConfigError, match=name):
+            sweep([1.0, 2.0], cb_set=ls_j3, mode=mode, design_params=SystemParams(J=2),
+                  max_frames=10, **{name: value})
 
     def test_scale_mode_runs(self, ls_j3):
         pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=50, max_frames=50_000)
