@@ -20,10 +20,11 @@ of flooding iterations that makes every message final, fixed by the graph.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .model import CodebookSet, ResourceLayout, enumerate_superimposed
 from .model import label_table, resource_layout
 
@@ -400,7 +401,12 @@ def joint_map_bruteforce(
 
 
 def op_counts(M: int, d_f: int, K: int, n_iters: int, variant: str) -> OpCounts:
-    """Closed-form RN-update operation counts for a regular degree-d_f graph."""
+    """Closed-form RN-update operation counts for a regular degree-d_f graph.
+
+    Raises ConfigError unless n_iters is an integer >= 0.
+    """
+    if isinstance(n_iters, bool) or not isinstance(n_iters, Integral) or n_iters < 0:
+        raise ConfigError(f"n_iters must be an integer >= 0, got {n_iters!r}")
     if variant not in ("mpa", "max_log"):
         raise ValueError(f"variant must be 'mpa' or 'max_log', got {variant!r}")
     base = M**d_f * K * d_f * n_iters
@@ -420,7 +426,10 @@ def op_counts(M: int, d_f: int, K: int, n_iters: int, variant: str) -> OpCounts:
 
 
 def graph_op_counts(cb_set: CodebookSet, n_iters: int, variant: str) -> OpCounts:
-    """The decoder's RN-update counts: op_counts summed over the resources' degrees."""
+    """The decoder's RN-update counts: op_counts summed over the resources' degrees.
+
+    Raises ConfigError unless n_iters is an integer >= 0.
+    """
     per_rn = [astuple(op_counts(cb_set.params.M, d, 1, n_iters, variant))
               for d in cb_set.graph.df_per_rn]
     return OpCounts(*map(sum, zip(*per_rn)))

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .metrics import (
     StackedVector,
     logsumexp_gradient,
@@ -74,30 +74,28 @@ class DesignResult:
     wall_time: float = 0.0
 
 
-def _user_blocks(L: np.ndarray, params: SystemParams):
-    """Iterate (user index, view of that user's N*M block of L)."""
-    size = params.N * params.M
-    for j in range(params.J):
-        yield j, L[j * size : (j + 1) * size]
+def _block_powers(L: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Average power of each user's N*M block of L."""
+    blocks = L.reshape(params.J, params.N * params.M)
+    return (blocks * blocks).sum(axis=1) / params.M
 
 
 def project_feasible(L: StackedVector, params: SystemParams) -> StackedVector:
-    """Clamp entries to the floor, then rescale any user block over its power cap."""
+    """Clamp entries to the floor, then rescale any user block over its power cap.
+
+    Raises DomainError for a non-finite entry.
+    """
+    if not np.isfinite(L.L).all():
+        raise DomainError("stacked constellation entries must be finite")
     out = np.maximum(L.L, DesignConfig.epsilon_floor)
-    for _, block in _user_blocks(out, params):
-        p = float(np.sum(block * block)) / params.M
-        if p > params.Pe:
-            block *= np.sqrt(params.Pe / p)
+    p = _block_powers(out, params)
+    blocks = out.reshape(params.J, -1)
+    blocks *= np.where(p > params.Pe, np.sqrt(params.Pe / p), 1.0)[:, None]
     return L.replace(out)
 
 
 def _is_feasible(L: np.ndarray, params: SystemParams) -> bool:
-    if np.any(L <= 0):
-        return False
-    for _, block in _user_blocks(L, params):
-        if np.sum(block * block) / params.M > params.Pe + 1e-7:
-            return False
-    return True
+    return bool(np.all(L > 0) and np.all(_block_powers(L, params) <= params.Pe + 1e-7))
 
 
 def random_init(params: SystemParams, seed: int, template: StackedVector) -> StackedVector:
@@ -218,9 +216,8 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
             break
         L = project_feasible(best_L.replace(L), params).L
 
-    books = []
-    for j, block in _user_blocks(L, params):
-        books.append(block.reshape(params.N, params.M).copy())
+    books = [block.reshape(params.N, params.M).copy()
+             for block in L.reshape(params.J, -1)]
     cb_set = codebook_set_from_constellations(params, books)
 
     report = pairwise_report(enumerate_superimposed(cb_set), params.varsigma2)

@@ -7,21 +7,23 @@ with its analytic gradient, and equal-probability-density ellipse analytics.
 Every pair distance is a sum over resources of entries of small per-resource
 tables: a resource takes only a few distinct values (M^d with d users on it),
 so one gather adds the table entries of all pairs through pair indices. The
-designer builds those indices once per codebook structure; pairwise_report
-builds them from the distinct values of each column of the points. The resource
-layout itself (users, L columns, gains, combination indices) comes from
-model.resource_layout, which the decoder and the union bound read too.
+tables of all resources are stacked, zero-padded to the largest resource, and
+built in one set of array operations. The designer stacks its per-resource
+structure and pair indices once per codebook structure; pairwise_report
+builds them from the distinct values of each column of the points. The
+resource layout itself (users, L columns, gains, combination indices) comes
+from model.resource_layout, which the decoder and the union bound read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, log
+from math import inf, isfinite, log
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, UnsupportedError
-from .model import DEFAULT_MAX_POINTS, Codebook, CodebookSet, ResourceLayout
+from .model import DEFAULT_MAX_POINTS, Codebook, CodebookSet
 from .model import SuperConstellation, point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
@@ -49,16 +51,50 @@ _DISTANCE_SLOTS = 2
 
 
 @dataclass(frozen=True)
-class ResourceStructure:
-    """One resource's layout plus the designer's pair indices.
+class ResourceStack:
+    """The per-resource structure of one codebook structure, stacked over resources.
 
-    pair_flat[p] = a(i) * Q + a(j) for the p-th unordered pair i < j in
-    np.triu_indices order, where a(i) is the combination (in the layout's
-    mixed radix) of superimposed point i; stored in the smallest unsigned dtype.
+    Resource k has Q_k = M^d_k values (d_k users); the arrays are padded to
+    Qmax rows and dmax users. cols[k, q, u] indexes the stacked entries L at
+    user u's entry in combination q, and gains[k, q, u] is that user's gain
+    on resource k; padding points at entry 0 with gain 0, so padded values
+    are 0. pair_flat[k][p] = a(i) * Qmax + a(j) for the p-th unordered pair
+    i < j in np.triu_indices order, where a(i) is the combination (in the
+    layout's mixed radix) of superimposed point i on resource k; stored in
+    the smallest unsigned dtype.
     """
 
-    layout: ResourceLayout
-    pair_flat: np.ndarray
+    cols: np.ndarray   # (K, Qmax, dmax) intp
+    gains: np.ndarray  # (K, Qmax, dmax)
+    pair_flat: tuple[np.ndarray, ...]
+    # (Q, resources with Q < Qmax rows): the gradient sums their table rows
+    # over their own Q columns, so that every row sum has the length, and so
+    # the summation order, of an unpadded table's row.
+    short_rows: tuple[tuple[int, np.ndarray], ...]
+    # The unpadded (k, q, u) entries in row-major order: the flat (k, q) row
+    # of each, its column of L and its gain.
+    entry_rows: np.ndarray
+    entry_cols: np.ndarray
+    entry_gains: np.ndarray
+
+    def values(self, L: np.ndarray) -> np.ndarray:
+        """(K, Qmax) resource values, each summed in user order."""
+        terms = L[self.cols]
+        terms *= self.gains
+        v = np.zeros(terms.shape[:2])
+        for u in range(terms.shape[2]):
+            v += terms[:, :, u]
+        return v
+
+
+class _Slot:
+    """The distances of one (vector, varsigma2) and that vector's table operands."""
+
+    __slots__ = ("key", "varsigma2", "d", "parts")
+
+    def __init__(self, n_pairs: int):
+        self.key = self.varsigma2 = self.parts = None
+        self.d = np.empty(n_pairs)
 
 
 class PairWorkspace:
@@ -71,37 +107,57 @@ class PairWorkspace:
     grow and trim on every call (about 31,000 minor faults per design-j4
     design). The workspace allocates them once, on first use, and reuses them.
 
-    It holds _DISTANCE_SLOTS distance arrays, each tagged with the vector key
-    and varsigma2 whose distances it holds; a miss refills the least recently
-    used slot. Not thread-safe: vectors that share a workspace must not be
-    evaluated concurrently.
+    It holds _DISTANCE_SLOTS slots, each tagged with the vector key and
+    varsigma2 whose distances it holds, together with that vector's table
+    operands (diff, g, root), which the gradient reuses; a miss refills the
+    least recently used slot. The exponential buffer is tagged with the
+    (key, varsigma2, beta) of the objective that filled it and with their
+    sum, so a gradient at the same point reuses them. Not thread-safe:
+    vectors that share a workspace must not be evaluated concurrently.
     """
 
     def __init__(self, n_pairs: int):
         self.n_pairs = n_pairs
-        self._slots: list[tuple[object, float, np.ndarray]] = []  # least recent first
+        self._slots: list[_Slot] = []  # least recent first
         self._exp: np.ndarray | None = None
+        self._exp_tag: tuple | None = None
+        self._exp_total = None
         self._index: np.ndarray | None = None
 
-    def distances(self, key: object, varsigma2: float, fill) -> np.ndarray:
-        """The slot holding the distances of (key, varsigma2); fill(out) fills a missing one."""
-        for i, (k, vs2, d) in enumerate(self._slots):
-            if k is key and vs2 == varsigma2:
+    def slot(self, key: object, varsigma2: float, fill) -> _Slot:
+        """The slot of (key, varsigma2); fill(out) fills a missing one's
+        distances into out and returns its table operands."""
+        for i, s in enumerate(self._slots):
+            if s.key is key and s.varsigma2 == varsigma2:
                 self._slots.append(self._slots.pop(i))
-                return d
+                return s
         if len(self._slots) < _DISTANCE_SLOTS:
-            d = np.empty(self.n_pairs)
+            s = _Slot(self.n_pairs)
         else:
-            _, _, d = self._slots.pop(0)
-        fill(d)
-        self._slots.append((key, varsigma2, d))
-        return d
+            s = self._slots.pop(0)
+        s.parts = fill(s.d)
+        s.key, s.varsigma2 = key, varsigma2
+        self._slots.append(s)
+        return s
 
     def exp_buffer(self) -> np.ndarray:
         """Scratch for the shifted exponentials and the softmin weights."""
         if self._exp is None:
             self._exp = np.empty(self.n_pairs)
         return self._exp
+
+    def keep_exp(self, tag: tuple, total) -> None:
+        """Record that the exponential buffer holds the exponentials of tag, summing to total."""
+        self._exp_tag, self._exp_total = tag, total
+
+    def take_exp(self, tag: tuple):
+        """The sum of the exponentials of tag if the buffer holds them, else None.
+
+        The caller overwrites the buffer, so it no longer counts as holding any.
+        """
+        total = self._exp_total if self._exp_tag == tag else None
+        self._exp_tag = self._exp_total = None
+        return total
 
     def index_buffer(self) -> np.ndarray:
         """Scratch for one intp block of at most _GATHER_CHUNK pair indices."""
@@ -125,13 +181,13 @@ class StackedVector:
     """
 
     L: np.ndarray
-    resources: tuple[ResourceStructure, ...]
+    stack: ResourceStack
     n_points: int
     workspace: PairWorkspace = field(repr=False, compare=False)
     _key: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     def replace(self, L: np.ndarray) -> "StackedVector":
-        return StackedVector(L=L, resources=self.resources, n_points=self.n_points,
+        return StackedVector(L=L, stack=self.stack, n_points=self.n_points,
                              workspace=self.workspace)
 
     def distances(self, varsigma2: float) -> np.ndarray:
@@ -140,15 +196,17 @@ class StackedVector:
         The array is a view of a workspace slot. It stays valid until the
         distances of _DISTANCE_SLOTS other (vector, varsigma2) combinations of
         this structure have been computed (distances, logsumexp_objective and
-        logsumexp_gradient compute them); copy it to keep it longer.
+        logsumexp_gradient compute them); copy it to keep it longer. Raises
+        DomainError unless varsigma2 is finite and >= 0.
         """
-        def fill(out):
-            _gather_distances([r.layout.values(self.L) for r in self.resources],
-                              [r.pair_flat for r in self.resources], varsigma2, out)
-
-        d = self.workspace.distances(self._key, varsigma2, fill).view()
+        _check_varsigma2(varsigma2)
+        d = self._slot(varsigma2).d.view()
         d.flags.writeable = False
         return d
+
+    def _slot(self, varsigma2: float) -> _Slot:
+        return self.workspace.slot(self._key, varsigma2, lambda out: _gather_distances(
+            self.stack.values(self.L), self.stack.pair_flat, varsigma2, out))
 
 
 @dataclass(frozen=True)
@@ -173,56 +231,73 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
     """Build the StackedVector of a codebook set (L entries and resource structure)."""
     L, layout = resource_layout(cb_set)
     digits = point_digits(cb_set.params)
-    resources = tuple(
-        ResourceStructure(layout=r, pair_flat=_pair_flat(r.combos(digits), len(r.cols)))
-        for r in layout
+    K = len(layout)
+    Qmax = max(len(r.cols) for r in layout)
+    dmax = max(len(r.users) for r in layout)
+    cols = np.zeros((K, Qmax, dmax), dtype=np.intp)
+    gains = np.zeros((K, Qmax, dmax))
+    real = np.zeros((K, Qmax, dmax), dtype=bool)
+    short: dict[int, list[int]] = {}
+    for k, r in enumerate(layout):
+        Q, d = r.cols.shape
+        cols[k, :Q, :d] = r.cols
+        gains[k, :Q, :d] = r.gains
+        real[k, :Q, :d] = True
+        if Q < Qmax:
+            short.setdefault(Q, []).append(k)
+    k_of, q_of, _ = np.nonzero(real)
+    stack = ResourceStack(
+        cols=cols, gains=gains,
+        pair_flat=tuple(_pair_flat(r.combos(digits), Qmax) for r in layout),
+        short_rows=tuple((Q, np.array(ks)) for Q, ks in short.items()),
+        entry_rows=k_of * Qmax + q_of, entry_cols=cols[real], entry_gains=gains[real],
     )
     P = len(digits)
-    return StackedVector(L=L, resources=resources, n_points=P,
+    return StackedVector(L=L, stack=stack, n_points=P,
                          workspace=PairWorkspace(P * (P - 1) // 2))
 
 
-def _pair_flat(a: np.ndarray, Q: int) -> np.ndarray:
-    """a[i] * Q + a[j] over all pairs i < j, row by row (no P^2 index arrays)."""
+def _pair_flat(a: np.ndarray, stride: int) -> np.ndarray:
+    """a[i] * stride + a[j] over all pairs i < j, row by row (no P^2 index arrays)."""
     P = len(a)
-    out = np.empty(P * (P - 1) // 2, dtype=np.min_scalar_type(Q * Q - 1))
+    out = np.empty(P * (P - 1) // 2, dtype=np.min_scalar_type(stride * stride - 1))
     lo = 0
     for i in range(P - 1):
         hi = lo + P - 1 - i
-        out[lo:hi] = a[i] * Q + a[i + 1:]
+        out[lo:hi] = a[i] * stride + a[i + 1:]
         lo = hi
     return out
 
 
 def _table_parts(v: np.ndarray, varsigma2: float):
-    """(diff, g, root) of the Q x Q distance table diff^2 / root of values v.
+    """(diff, g, root) of the (K, Q, Q) distance tables diff^2 / root of (K, Q) values v.
 
-    diff[a, b] = v_a - v_b, g = varsigma2 * v + 1 and root[a, b] =
-    sqrt(g_a * g_b), the operands of the pairwise rotated distance.
+    diff[k, a, b] = v[k, a] - v[k, b], g = varsigma2 * v + 1 and
+    root[k, a, b] = sqrt(g[k, a] * g[k, b]), the operands of the pairwise
+    rotated distance.
     """
     g = varsigma2 * v + 1.0
-    diff = v[:, None] - v[None, :]
-    return diff, g, np.sqrt(g[:, None] * g[None, :])
+    diff = v[:, :, None] - v[:, None, :]
+    return diff, g, np.sqrt(g[:, :, None] * g[:, None, :])
 
 
-def _gather_distances(values: list[np.ndarray], pair_flats: list[np.ndarray],
-                      varsigma2: float, out: np.ndarray) -> np.ndarray:
-    """Rotated pair distances from per-resource values and pair indices, into out.
+def _gather_distances(values: np.ndarray, pair_flats, varsigma2: float,
+                      out: np.ndarray):
+    """Rotated pair distances from (K, Q) resource values and pair indices, into out.
 
-    Resource k contributes entry pair_flats[k][p] of the table diff^2 / root
-    of its values; out is zeroed and the terms are added in resource order,
-    which defines the result. The gather runs in chunks of pairs.
+    Resource k contributes entry pair_flats[k][p] of its flattened table
+    diff^2 / root; out is zeroed and the terms are added in resource order,
+    which defines the result. The gather runs in chunks of pairs. Returns the
+    table operands (diff, g, root).
     """
-    tables = []
-    for v in values:
-        diff, _, root = _table_parts(v, varsigma2)
-        tables.append(diff * diff / root)
+    parts = diff, _, root = _table_parts(values, varsigma2)
+    tables = list((diff * diff / root).reshape(len(values), -1))
     out.fill(0.0)
     for lo in range(0, len(out), _TAKE_CHUNK):
         part = out[lo:lo + _TAKE_CHUNK]
         for table, flat in zip(tables, pair_flats):
-            part += np.take(table, flat[lo:lo + _TAKE_CHUNK])
-    return out
+            part += table.take(flat[lo:lo + _TAKE_CHUNK])
+    return parts
 
 
 def _check_varsigma2(varsigma2: float) -> None:
@@ -263,8 +338,9 @@ def pairwise_report(
 ) -> DistanceReport:
     """d_min/d_max of the rotated distance over all unordered point pairs.
 
-    Each column of the points becomes one table over its distinct values, and
-    the pair distances are gathered from those tables as the designer's are.
+    Each column of the points becomes one table over its distinct values
+    (zero-padded to the longest column's), and the pair distances are
+    gathered from those tables as the designer's are.
     Raises CapacityError above DEFAULT_MAX_POINTS points.
     """
     _check_varsigma2(varsigma2)
@@ -276,12 +352,13 @@ def pairwise_report(
         raise DomainError("a distance report needs at least two points")
     if not np.isfinite(points).all() or np.any(points < 0):
         raise DomainError("superimposed codewords must be finite and nonnegative")
-    values, pair_flats = [], []
-    for column in points.T:
-        v, a = np.unique(column, return_inverse=True)
-        values.append(v)
-        pair_flats.append(_pair_flat(a, len(v)))
-    d = _gather_distances(values, pair_flats, varsigma2, np.empty(len(pair_flats[0])))
+    columns = [np.unique(column, return_inverse=True) for column in points.T]
+    Qmax = max(len(v) for v, _ in columns)
+    values = np.zeros((len(columns), Qmax))
+    for v_k, (v, _) in zip(values, columns):
+        v_k[:len(v)] = v
+    d = np.empty(P * (P - 1) // 2)
+    _gather_distances(values, [_pair_flat(a, Qmax) for _, a in columns], varsigma2, d)
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
@@ -291,13 +368,14 @@ def _check_stacked(L: StackedVector, beta: float, varsigma2: float):
     if not (isfinite(beta) and beta > 0):
         raise DomainError(f"beta must be finite and > 0, got {beta}")
     _check_varsigma2(varsigma2)
-    if np.any(L.L < 0):
-        raise DomainError("stacked constellation entries must be nonnegative")
+    # The min is NaN if any entry is; the max catches +inf.
+    if not (L.L.min() >= 0 and L.L.max() < inf):
+        raise DomainError("stacked constellation entries must be finite and nonnegative")
 
 
-def _shifted_exp(d: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
-    """exp(-beta * (d - min d)), computed in out."""
-    np.subtract(d, d.min(), out=out)
+def _shifted_exp(d: np.ndarray, d_min: float, beta: float, out: np.ndarray) -> np.ndarray:
+    """exp(-beta * (d - d_min)), computed in out."""
+    np.subtract(d, d_min, out=out)
     out *= -beta
     return np.exp(out, out=out)
 
@@ -325,39 +403,51 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
 
     Returns (1/beta) * ln sum_{i<j} exp(-beta * d_ij); the exponent is shifted
     by the minimum distance before summation so beta * d overflow cannot occur.
+    The exponentials stay in the workspace for a gradient at the same point.
     """
     _check_stacked(L, beta, varsigma2)
-    d = L.distances(varsigma2)
-    e = _shifted_exp(d, beta, L.workspace.exp_buffer())
-    return float(np.log(np.sum(e)) / beta - d.min())
+    d = L._slot(varsigma2).d
+    d_min = d.min()
+    total = _shifted_exp(d, d_min, beta, L.workspace.exp_buffer()).sum()
+    L.workspace.keep_exp((L._key, varsigma2, beta), total)
+    return float(np.log(total) / beta - d_min)
 
 
 def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.ndarray:
     """Analytic gradient of logsumexp_objective with respect to the entries of L.
 
     The softmin pair weights are binned onto each resource's Q x Q table,
-    chained through the table's derivative in the resource values, and the
-    value gradients are binned onto the entries of L.
+    chained through the tables' derivative in the resource values, and the
+    value gradients are binned onto the entries of L. The table operands come
+    from the distance slot, and the exponentials from the last objective
+    when it was evaluated at the same (point, varsigma2, beta).
     """
     _check_stacked(L, beta, varsigma2)
-    w = _shifted_exp(L.distances(varsigma2), beta, L.workspace.exp_buffer())
-    w /= w.sum()
-    index = L.workspace.index_buffer()
+    ws, stack = L.workspace, L.stack
+    slot = L._slot(varsigma2)
+    w = ws.exp_buffer()
+    total = ws.take_exp((L._key, varsigma2, beta))
+    if total is None:
+        total = _shifted_exp(slot.d, slot.d.min(), beta, w).sum()
+    w /= total
 
-    cols, weights = [], []
-    for r in L.resources:
-        Q = len(r.layout.cols)
-        W = _bin_pairs(r.pair_flat, w, index, Q * Q).reshape(Q, Q)
-        diff, g, root = _table_parts(r.layout.values(L.L), varsigma2)
-        # d(table[a, b])/d(v_a); the table is symmetric, so v_a collects the
-        # weights of the pairs where it is the first or the second point.
-        dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, None] * root)
-        dv = -np.sum((W + W.T) * dt, axis=1)
-        cols.append(r.layout.cols.ravel())
-        weights.append((dv[:, None] * r.layout.gains).ravel())
-    return np.bincount(
-        np.concatenate(cols), weights=np.concatenate(weights), minlength=L.L.size
-    )
+    diff, g, root = slot.parts
+    K, Q = g.shape
+    index = ws.index_buffer()
+    W = np.empty((K, Q * Q))
+    for k, flat in enumerate(stack.pair_flat):
+        W[k] = _bin_pairs(flat, w, index, Q * Q)
+    W = W.reshape(K, Q, Q)
+    # d(table[k, a, b])/d(v[k, a]); the tables are symmetric, so v[k, a]
+    # collects the weights of the pairs where it is the first or the second point.
+    dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, :, None] * root)
+    terms = (W + W.transpose(0, 2, 1)) * dt
+    dv = -terms.sum(axis=2)
+    for q, ks in stack.short_rows:
+        dv[ks, :q] = -terms[ks, :q, :q].sum(axis=2)
+    weights = dv.reshape(-1)[stack.entry_rows]
+    weights *= stack.entry_gains
+    return np.bincount(stack.entry_cols, weights=weights, minlength=L.L.size)
 
 
 def epd_ellipses(

@@ -91,6 +91,13 @@ class TestAnalyzeCommand:
 
 
 class TestDecodeCommand:
+    @pytest.mark.parametrize("iters", ["-3", "-1"])
+    def test_counts_reject_negative_iters(self, fixture_file, capsys, iters):
+        rc = main(["decode", "--cb", str(fixture_file), "--counts", "--iters", iters])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n_iters" in captured.err
+
     def test_counts_only(self, fixture_file, capsys):
         rc = main(["decode", "--cb", str(fixture_file), "--counts", "--iters", "6"])
         assert rc == 0

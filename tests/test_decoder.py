@@ -18,8 +18,8 @@ from scma_vlc import (
     simulate_ber,
     simulator,
 )
-from scma_vlc.decoder import OpCounts, loglik_table, max_log_mpa_batch
-from scma_vlc.errors import DimensionError, DomainError
+from scma_vlc.decoder import OpCounts, graph_op_counts, loglik_table, max_log_mpa_batch
+from scma_vlc.errors import ConfigError, DimensionError, DomainError
 
 from conftest import random_codebook_set
 
@@ -190,6 +190,18 @@ class TestOpCounts:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             op_counts(4, 3, 4, 6, "nope")
+
+    @pytest.mark.parametrize("n_iters", [-1, 2.5, True, "3", None])
+    def test_rejects_bad_iters(self, n_iters):
+        with pytest.raises(ConfigError, match="n_iters"):
+            op_counts(4, 2, 4, n_iters, "mpa")
+        with pytest.raises(ConfigError, match="n_iters"):
+            graph_op_counts(load_fixture("ls-j3"), n_iters, "max_log")
+
+    def test_accepts_zero_and_numpy_integer_iters(self):
+        assert op_counts(4, 2, 4, 0, "mpa") == OpCounts(0, 0, 0, 0)
+        assert graph_op_counts(load_fixture("ls-j3"), np.int64(6), "mpa") == \
+            graph_op_counts(load_fixture("ls-j3"), 6, "mpa")
 
     def test_instrumented_decoder_matches(self):
         cb = load_fixture("ls-j6")

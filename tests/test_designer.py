@@ -10,8 +10,10 @@ from scma_vlc import (
     random_init,
 )
 from scma_vlc.designer import _pgd_step, inner_solve
-from scma_vlc.errors import ConfigError
+from scma_vlc.errors import ConfigError, DomainError
 from scma_vlc.metrics import logsumexp_objective, stack_codebook_set
+
+from kernel_reference import patch_designer
 
 PARAMS = SystemParams(J=3, sigma2=0.01, varsigma2=5.0, Pe=30.0)
 
@@ -109,6 +111,27 @@ class TestProjectFeasible:
         out = project_feasible(t.replace(L), PARAMS)
         assert np.all(out.L[:8] < 10.0)
         np.testing.assert_array_equal(out.L[8:], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        t = template()
+        L = np.full_like(t.L, 1.0)
+        L[5] = bad
+        with pytest.raises(DomainError):
+            project_feasible(t.replace(L), PARAMS)
+
+    def test_blocks_round_as_a_per_user_loop(self):
+        # The row sums of the vectorised rescale are the per-block sums of
+        # a loop over users, so every scale, and every entry, is the same.
+        from kernel_reference import reference_project
+
+        params = SystemParams(J=4, varsigma2=1.0, Pe=9.5)
+        t = template(params)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = t.replace(rng.uniform(-0.5, 3.0, t.L.size))
+            np.testing.assert_array_equal(project_feasible(x, params).L,
+                                          reference_project(x, params).L)
 
 
 class TestRandomInit:
@@ -242,3 +265,22 @@ class TestStepUnderflow:
                          max_inner_iters=0, starts=1, seed=108),
         )
         assert np.isfinite(r.final_d_min)
+
+
+class TestGoldenDesign:
+    """design() on the stacked kernel equals design() on the per-resource
+    reference kernel (tests/kernel_reference.py), bit for bit."""
+
+    @pytest.mark.parametrize("params, config", [
+        (PARAMS, DesignConfig(starts=2)),
+        (SystemParams(J=4, varsigma2=1.0, Pe=9.5), DesignConfig(starts=1, max_inner_iters=1)),
+    ], ids=["j3-2-starts", "j4-one-checkpoint"])
+    def test_equals_reference_kernel(self, params, config, monkeypatch):
+        got = design(params, config)
+        with monkeypatch.context() as m:
+            patch_designer(m)
+            want = design(params, config)
+        for a, b in zip(got.set.books, want.set.books):
+            np.testing.assert_array_equal(a.C, b.C)
+        assert got.objective_trace == want.objective_trace
+        assert got.final_d_min == want.final_d_min

@@ -17,6 +17,12 @@ from scma_vlc.metrics import CHI2_2_Q95
 from scma_vlc.model import SuperConstellation
 
 from conftest import random_codebook_set
+from kernel_reference import (
+    reference_distances,
+    reference_gradient,
+    reference_objective,
+    reference_stack,
+)
 
 FIXTURES = ["dr-j3", "ls-j3", "ls-j4", "ls-j5", "ls-j6"]
 
@@ -289,8 +295,26 @@ class TestStructuralKernel:
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_pair_indices_use_small_dtype(self):
+        # On the common Qmax stride: 16^2 entries at J=4, 64^2 at J=6.
         sv = stack_codebook_set(load_fixture("ls-j4"))
-        assert all(r.pair_flat.dtype == np.uint8 for r in sv.resources)
+        assert all(flat.dtype == np.uint8 for flat in sv.stack.pair_flat)
+        sv = stack_codebook_set(load_fixture("ls-j6"))
+        assert all(flat.dtype == np.uint16 for flat in sv.stack.pair_flat)
+
+    @pytest.mark.parametrize("varsigma2", [np.nan, np.inf, -1.0])
+    def test_distances_reject_bad_varsigma2(self, ls_j3, varsigma2):
+        with pytest.raises(DomainError):
+            stack_codebook_set(ls_j3).distances(varsigma2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_entries(self, ls_j3, bad):
+        sv = stack_codebook_set(ls_j3)
+        L = sv.L.copy()
+        L[3] = bad
+        with pytest.raises(DomainError):
+            logsumexp_objective(sv.replace(L), 10.0, 5.0)
+        with pytest.raises(DomainError):
+            logsumexp_gradient(sv.replace(L), 10.0, 5.0)
 
     def test_cached_distances_are_read_only(self, ls_j3):
         d = stack_codebook_set(ls_j3).distances(5.0)
@@ -324,22 +348,6 @@ class TestStructuralKernel:
                                    atol=1e-12 * np.abs(single_g).max())
 
 
-def _gather_reference(values, pair_flats, varsigma2):
-    """The chunked distance gather as it was before the pair workspace: a new
-    zeroed array per call, resource terms added in order per chunk of pairs."""
-    tables = []
-    for v in values:
-        g = varsigma2 * v + 1.0
-        diff = v[:, None] - v[None, :]
-        tables.append(diff * diff / np.sqrt(g[:, None] * g[None, :]))
-    d = np.zeros(len(pair_flats[0]))
-    for lo in range(0, len(d), 1 << 14):
-        part = d[lo:lo + (1 << 14)]
-        for table, flat in zip(tables, pair_flats):
-            part += np.take(table, flat[lo:lo + (1 << 14)])
-    return d
-
-
 class TestPairWorkspace:
     """Vectors of one structure share distance slots; none reads another's."""
 
@@ -363,14 +371,75 @@ class TestPairWorkspace:
             assert f != f0
             assert f == logsumexp_objective(stack_codebook_set(load_fixture(name)).replace(c.L),
                                             10.0, vs2)
-        want = _gather_reference([r.layout.values(x.L) for r in x.resources],
-                                 [r.pair_flat for r in x.resources], vs2)
+        want = reference_distances(reference_stack(load_fixture(name)).replace(x.L), vs2)
         np.testing.assert_array_equal(x.distances(vs2), want)
 
     def test_shared_by_replace_only(self, ls_j3):
         x = stack_codebook_set(ls_j3)
         assert x.replace(x.L).workspace is x.workspace
         assert stack_codebook_set(ls_j3).workspace is not x.workspace
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4"])
+    @pytest.mark.parametrize("before", ["beta", "varsigma2", "vector", "distances", "same"])
+    def test_gradient_after_objective_equals_fresh(self, name, before):
+        """The gradient reuses the last objective's exponentials only when they
+        were taken at its (point, varsigma2, beta); otherwise it computes them."""
+        cb = load_fixture(name)
+        x = stack_codebook_set(cb)
+        other = x.replace(x.L * np.linspace(0.8, 1.0, x.L.size))
+        logsumexp_objective(x, 10.0, 5.0)
+        if before == "beta":
+            logsumexp_objective(x, 30.0, 5.0)
+        elif before == "varsigma2":
+            logsumexp_objective(x, 10.0, 1.0)
+        elif before == "vector":
+            logsumexp_objective(other, 10.0, 5.0)
+        elif before == "distances":
+            other.distances(5.0)
+            x.distances(1.0)
+        got = logsumexp_gradient(x, 10.0, 5.0)
+        np.testing.assert_array_equal(got, logsumexp_gradient(stack_codebook_set(cb), 10.0, 5.0))
+        # The gradient used up the exponentials: a second one computes them.
+        np.testing.assert_array_equal(logsumexp_gradient(x, 10.0, 5.0), got)
+
+    def test_slot_holds_table_operands_of_its_vector(self, ls_j3):
+        x = stack_codebook_set(ls_j3)
+        y = x.replace(x.L * 1.25)
+        logsumexp_objective(x, 10.0, 5.0)
+        logsumexp_objective(y, 10.0, 5.0)
+        logsumexp_objective(x, 10.0, 1.0)  # evicts y's slot, keeps x's at 5.0
+        fresh = stack_codebook_set(ls_j3)
+        for v in (x, y):
+            want = logsumexp_gradient(fresh.replace(v.L.copy()), 10.0, 5.0)
+            np.testing.assert_array_equal(logsumexp_gradient(v, 10.0, 5.0), want)
+
+
+class TestReferenceKernel:
+    """Distances, objective and gradient equal the per-resource reference kernel
+    (tests/kernel_reference.py) bit for bit."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("varsigma2", [0.0, 1.0, 5.0])
+    def test_bitwise_equal(self, name, varsigma2):
+        cb = load_fixture(name)
+        sv, ref = stack_codebook_set(cb), reference_stack(cb)
+        np.testing.assert_array_equal(sv.distances(varsigma2),
+                                      reference_distances(ref, varsigma2))
+        for beta in (1.0, 10.0, 30.0):
+            assert logsumexp_objective(sv, beta, varsigma2) == reference_objective(
+                ref, beta, varsigma2)
+            np.testing.assert_array_equal(logsumexp_gradient(sv, beta, varsigma2),
+                                          reference_gradient(ref, beta, varsigma2))
+
+    @pytest.mark.parametrize("J, K", [(3, 4), (5, 5), (2, 4)])
+    def test_bitwise_equal_random_sets(self, J, K):
+        # K=5 graphs leave resources with one user or none next to wider ones.
+        cb = random_codebook_set(J, seed=J + K, K=K)
+        sv, ref = stack_codebook_set(cb), reference_stack(cb)
+        for beta in (1.0, 30.0):
+            assert logsumexp_objective(sv, beta, 5.0) == reference_objective(ref, beta, 5.0)
+            np.testing.assert_array_equal(logsumexp_gradient(sv, beta, 5.0),
+                                          reference_gradient(ref, beta, 5.0))
 
 
 class TestEpdEllipses:
