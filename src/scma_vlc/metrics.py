@@ -7,12 +7,13 @@ with its analytic gradient, and equal-probability-density ellipse analytics.
 Every pair distance is a sum over resources of entries of small per-resource
 tables: a resource takes only a few distinct values (M^d with d users on it),
 so one gather adds the table entries of all pairs through pair indices. The
-tables of all resources are stacked, zero-padded to the largest resource, and
-built in one set of array operations. The designer stacks its per-resource
-structure and pair indices once per codebook structure; pairwise_report
-builds them from the distinct values of each column of the points. The
-resource layout itself (users, L columns, gains, combination indices) comes
-from model.resource_layout, which the decoder and the union bound read too.
+designer stacks its per-resource structure and pair indices once per codebook
+structure, zero-padded to the largest resource, and builds the tables of all
+resources in one set of array operations; pairwise_report builds one table
+and its pair indices from the distinct values of each column of the points.
+The resource layout itself (users, L columns, gains, combination indices)
+comes from model.resource_layout, which the decoder and the union bound read
+too.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class PairWorkspace:
         self._index: np.ndarray | None = None
 
     def slot(self, key: object, varsigma2: float, fill) -> _Slot:
-        """The slot of (key, varsigma2); fill(out) fills a missing one's
-        distances into out and returns its table operands."""
+        """The slot of (key, varsigma2); fill(varsigma2, out) fills a missing
+        one's distances into out and returns its table operands."""
         for i, s in enumerate(self._slots):
             if s.key is key and s.varsigma2 == varsigma2:
                 self._slots.append(self._slots.pop(i))
@@ -135,7 +136,7 @@ class PairWorkspace:
             s = _Slot(self.n_pairs)
         else:
             s = self._slots.pop(0)
-        s.parts = fill(s.d)
+        s.parts = fill(varsigma2, s.d)
         s.key, s.varsigma2 = key, varsigma2
         self._slots.append(s)
         return s
@@ -205,8 +206,12 @@ class StackedVector:
         return d
 
     def _slot(self, varsigma2: float) -> _Slot:
-        return self.workspace.slot(self._key, varsigma2, lambda out: _gather_distances(
-            self.stack.values(self.L), self.stack.pair_flat, varsigma2, out))
+        return self.workspace.slot(self._key, varsigma2, self._fill)
+
+    def _fill(self, varsigma2: float, out: np.ndarray):
+        parts = _table_parts(self.stack.values(self.L), varsigma2)
+        _gather_distances(list(_distance_tables(parts)), self.stack.pair_flat, out)
+        return parts
 
 
 @dataclass(frozen=True)
@@ -281,23 +286,25 @@ def _table_parts(v: np.ndarray, varsigma2: float):
     return diff, g, np.sqrt(g[:, :, None] * g[:, None, :])
 
 
-def _gather_distances(values: np.ndarray, pair_flats, varsigma2: float,
-                      out: np.ndarray):
-    """Rotated pair distances from (K, Q) resource values and pair indices, into out.
+def _distance_tables(parts) -> np.ndarray:
+    """(K, Q * Q) flattened distance tables diff^2 / root from their operands."""
+    diff, _, root = parts
+    return (diff * diff / root).reshape(len(diff), -1)
 
-    Resource k contributes entry pair_flats[k][p] of its flattened table
-    diff^2 / root; out is zeroed and the terms are added in resource order,
-    which defines the result. The gather runs in chunks of pairs. Returns the
-    table operands (diff, g, root).
+
+def _gather_distances(tables, pair_flats, out: np.ndarray) -> np.ndarray:
+    """Rotated pair distances from flattened per-resource tables and pair indices, into out.
+
+    Resource k contributes entry pair_flats[k][p] of tables[k]; out is zeroed
+    and the terms are added in resource order, which defines the result. The
+    gather runs in chunks of pairs.
     """
-    parts = diff, _, root = _table_parts(values, varsigma2)
-    tables = list((diff * diff / root).reshape(len(values), -1))
     out.fill(0.0)
     for lo in range(0, len(out), _TAKE_CHUNK):
         part = out[lo:lo + _TAKE_CHUNK]
         for table, flat in zip(tables, pair_flats):
             part += table.take(flat[lo:lo + _TAKE_CHUNK])
-    return parts
+    return out
 
 
 def _check_varsigma2(varsigma2: float) -> None:
@@ -338,9 +345,8 @@ def pairwise_report(
 ) -> DistanceReport:
     """d_min/d_max of the rotated distance over all unordered point pairs.
 
-    Each column of the points becomes one table over its distinct values
-    (zero-padded to the longest column's), and the pair distances are
-    gathered from those tables as the designer's are.
+    Each column of the points becomes one table over its distinct values, and
+    the pair distances are gathered from those tables as the designer's are.
     Raises CapacityError above DEFAULT_MAX_POINTS points.
     """
     _check_varsigma2(varsigma2)
@@ -352,13 +358,12 @@ def pairwise_report(
         raise DomainError("a distance report needs at least two points")
     if not np.isfinite(points).all() or np.any(points < 0):
         raise DomainError("superimposed codewords must be finite and nonnegative")
-    columns = [np.unique(column, return_inverse=True) for column in points.T]
-    Qmax = max(len(v) for v, _ in columns)
-    values = np.zeros((len(columns), Qmax))
-    for v_k, (v, _) in zip(values, columns):
-        v_k[:len(v)] = v
-    d = np.empty(P * (P - 1) // 2)
-    _gather_distances(values, [_pair_flat(a, Qmax) for _, a in columns], varsigma2, d)
+    tables, pair_flats = [], []
+    for column in points.T:
+        v, a = np.unique(column, return_inverse=True)
+        tables.append(_distance_tables(_table_parts(v[None, :], varsigma2))[0])
+        pair_flats.append(_pair_flat(a, len(v)))
+    d = _gather_distances(tables, pair_flats, np.empty(P * (P - 1) // 2))
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
