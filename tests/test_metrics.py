@@ -431,9 +431,10 @@ class TestReferenceKernel:
             np.testing.assert_array_equal(logsumexp_gradient(sv, beta, varsigma2),
                                           reference_gradient(ref, beta, varsigma2))
 
-    @pytest.mark.parametrize("J, K", [(3, 4), (5, 5), (2, 4)])
+    @pytest.mark.parametrize("J, K", [(3, 4), (5, 5), (2, 5)])
     def test_bitwise_equal_random_sets(self, J, K):
-        # K=5 graphs leave resources with one user or none next to wider ones.
+        # Resource degrees (2, 2, 1, 1), (4, 2, 2, 1, 1) and (2, 1, 1, 0, 0):
+        # narrow and empty resources padded next to wider ones.
         cb = random_codebook_set(J, seed=J + K, K=K)
         sv, ref = stack_codebook_set(cb), reference_stack(cb)
         for beta in (1.0, 30.0):
