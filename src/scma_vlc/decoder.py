@@ -284,6 +284,11 @@ def _outputs(beliefs, rn, vn, tables):
     return np.ascontiguousarray(beliefs.transpose(2, 0, 1)), llrs, hard, messages
 
 
+def _check_iters(n_iters: int, least: int) -> None:
+    if isinstance(n_iters, bool) or not isinstance(n_iters, Integral) or n_iters < least:
+        raise DomainError(f"n_iters must be an integer >= {least}, got {n_iters!r}")
+
+
 def max_log_mpa_batch(
     Y: np.ndarray,
     cb_set: CodebookSet,
@@ -297,12 +302,12 @@ def max_log_mpa_batch(
 
     Returns (beliefs (T,J,M), llrs (T,J,b), hard bits (T,J,b), messages,
     OpCounts or None): the same result as n_iters flooding iterations, and
-    graph_op_counts for n_iters. Raises DomainError on NaN or inf in Y.
+    graph_op_counts for n_iters. Raises DomainError on NaN or inf in Y or
+    unless n_iters is an integer >= 1.
     """
     p = cb_set.params
     Y = _received(Y, p)
-    if n_iters < 1:
-        raise DomainError("n_iters must be >= 1")
+    _check_iters(n_iters, 1)
     if tables is None:
         tables = _build_tables(cb_set)
     counts = graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None
@@ -360,8 +365,7 @@ def mpa_linear(
     if np.ndim(y) != 1:
         raise DimensionError("mpa_linear decodes one received vector of shape (K,)")
     Y = _received(y, p)
-    if n_iters < 0:
-        raise DomainError("n_iters must be >= 0")
+    _check_iters(n_iters, 0)
     tables = _build_tables(cb_set)
     beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True)
     # Shift before normalizing: the largest belief becomes exactly 0, so the

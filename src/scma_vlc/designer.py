@@ -111,7 +111,6 @@ def _pgd_step(
     step: float,
     beta: float,
     params: SystemParams,
-    config: DesignConfig,
 ) -> tuple[StackedVector, float, float, bool]:
     """One projected-gradient step with Armijo backtracking.
 
@@ -158,7 +157,7 @@ def inner_solve(
         f_prev = f
         stalled = False
         for _ in range(_CHECKPOINT_STEPS):
-            x, f, step, accepted = _pgd_step(x, f, step, beta, params, config)
+            x, f, step, accepted = _pgd_step(x, f, step, beta, params)
             if not accepted:
                 stalled = True
                 break
@@ -200,7 +199,7 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
         step = 1.0
         for beta in config.beta_schedule[:-1]:
             f = logsumexp_objective(x, beta, params.varsigma2)
-            x, f, step, _ = _pgd_step(x, f, step, beta, params, config)
+            x, f, step, _ = _pgd_step(x, f, step, beta, params)
             trace.append((s, beta, 0, f))
         f, x = inner_solve(x, config.beta_schedule[-1], params, config, trace=trace, start=s)
         if f < best_f - 1e-9:

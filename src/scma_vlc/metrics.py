@@ -46,10 +46,6 @@ _GATHER_CHUNK = 1 << 20
 # per design, against about 500 with this step.
 _TAKE_CHUNK = 1 << 14
 
-# Distance slots per structure: the designer's current point and its line
-# search candidate alternate over two.
-_DISTANCE_SLOTS = 2
-
 
 @dataclass(frozen=True)
 class ResourceStack:
@@ -72,11 +68,6 @@ class ResourceStack:
     # over their own Q columns, so that every row sum has the length, and so
     # the summation order, of an unpadded table's row.
     short_rows: tuple[tuple[int, np.ndarray], ...]
-    # The unpadded (k, q, u) entries in row-major order: the flat (k, q) row
-    # of each, its column of L and its gain.
-    entry_rows: np.ndarray
-    entry_cols: np.ndarray
-    entry_gains: np.ndarray
 
     def values(self, L: np.ndarray) -> np.ndarray:
         """(K, Qmax) resource values, each summed in user order."""
@@ -88,83 +79,34 @@ class ResourceStack:
         return v
 
 
-class _Slot:
-    """The distances of one (vector, varsigma2) and that vector's table operands."""
-
-    __slots__ = ("key", "varsigma2", "d", "parts")
-
-    def __init__(self, n_pairs: int):
-        self.key = self.varsigma2 = self.parts = None
-        self.d = np.empty(n_pairs)
-
-
 class PairWorkspace:
     """Pair-sized buffers shared by the StackedVectors of one structure.
 
     The objective and gradient need arrays with one entry per point pair:
-    the distances, the shifted exponentials (or softmin weights) and the intp
-    pair indices that np.bincount reads. At J=4 each is 261 KB, above glibc's
-    default 128 KiB mmap threshold, so allocating them per call made the heap
-    grow and trim on every call (about 31,000 minor faults per design-j4
-    design). The workspace allocates them once, on first use, and reuses them.
+    the distances d, the shifted exponentials (or softmin weights) exp and
+    one intp block of the pair indices that np.bincount reads, index. At J=4
+    each is 261 KB, above glibc's default 128 KiB mmap threshold, so
+    allocating them per call made the heap grow and trim on every call
+    (about 31,000 minor faults per design-j4 design). The workspace
+    allocates them once with np.empty, which touches no page until a buffer
+    is used, and reuses them.
 
-    It holds _DISTANCE_SLOTS slots, each tagged with the vector key and
-    varsigma2 whose distances it holds, together with that vector's table
-    operands (diff, g, root), which the gradient reuses; a miss refills the
-    least recently used slot. The exponential buffer is tagged with the
-    (key, varsigma2, beta) of the objective that filled it and with their
-    sum, so a gradient at the same point reuses them. Not thread-safe:
-    vectors that share a workspace must not be evaluated concurrently.
+    The designer evaluates the objective at a point and then, if it accepts
+    the point, the gradient at that same point, so the workspace records
+    only the last evaluation: d_tag = (vector key, varsigma2) of the
+    distances in d, with that vector's table operands (diff, g, root) in
+    parts, and exp_tag = (vector key, varsigma2, beta) of the exponentials
+    in exp, with their sum exp_total. A tag of None records nothing. Not
+    thread-safe: vectors that share a workspace must not be evaluated
+    concurrently.
     """
 
     def __init__(self, n_pairs: int):
-        self.n_pairs = n_pairs
-        self._slots: list[_Slot] = []  # least recent first
-        self._exp: np.ndarray | None = None
-        self._exp_tag: tuple | None = None
-        self._exp_total = None
-        self._index: np.ndarray | None = None
-
-    def slot(self, key: object, varsigma2: float, fill) -> _Slot:
-        """The slot of (key, varsigma2); fill(varsigma2, out) fills a missing
-        one's distances into out and returns its table operands."""
-        for i, s in enumerate(self._slots):
-            if s.key is key and s.varsigma2 == varsigma2:
-                self._slots.append(self._slots.pop(i))
-                return s
-        if len(self._slots) < _DISTANCE_SLOTS:
-            s = _Slot(self.n_pairs)
-        else:
-            s = self._slots.pop(0)
-        s.parts = fill(varsigma2, s.d)
-        s.key, s.varsigma2 = key, varsigma2
-        self._slots.append(s)
-        return s
-
-    def exp_buffer(self) -> np.ndarray:
-        """Scratch for the shifted exponentials and the softmin weights."""
-        if self._exp is None:
-            self._exp = np.empty(self.n_pairs)
-        return self._exp
-
-    def keep_exp(self, tag: tuple, total) -> None:
-        """Record that the exponential buffer holds the exponentials of tag, summing to total."""
-        self._exp_tag, self._exp_total = tag, total
-
-    def take_exp(self, tag: tuple):
-        """The sum of the exponentials of tag if the buffer holds them, else None.
-
-        The caller overwrites the buffer, so it no longer counts as holding any.
-        """
-        total = self._exp_total if self._exp_tag == tag else None
-        self._exp_tag = self._exp_total = None
-        return total
-
-    def index_buffer(self) -> np.ndarray:
-        """Scratch for one intp block of at most _GATHER_CHUNK pair indices."""
-        if self._index is None:
-            self._index = np.empty(min(self.n_pairs, _GATHER_CHUNK), dtype=np.intp)
-        return self._index
+        self.d = np.empty(n_pairs)
+        self.exp = np.empty(n_pairs)
+        self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        self.d_tag = self.parts = None
+        self.exp_tag = self.exp_total = None
 
 
 @dataclass(frozen=True)
@@ -176,9 +118,9 @@ class StackedVector:
     only on the two points' values there, so all pair distances are gathered
     from one small Q x Q table per resource. Vectors of one structure (built
     by stack_codebook_set and derived by replace) share one PairWorkspace, in
-    which the distances of the last few (vector, varsigma2) evaluated are
-    kept; L must therefore not be changed in place (use replace, which gives
-    the new vector its own key).
+    which the distances of the last (vector, varsigma2) evaluated are kept;
+    L must therefore not be changed in place (use replace, which gives the
+    new vector its own key).
     """
 
     L: np.ndarray
@@ -194,24 +136,26 @@ class StackedVector:
     def distances(self, varsigma2: float) -> np.ndarray:
         """Read-only rotated distances of all unordered point pairs (triu order).
 
-        The array is a view of a workspace slot. It stays valid until the
-        distances of _DISTANCE_SLOTS other (vector, varsigma2) combinations of
-        this structure have been computed (distances, logsumexp_objective and
+        The array is a view of the workspace's distance buffer. It stays
+        valid until the distances of another (vector, varsigma2) of this
+        structure are computed (distances, logsumexp_objective and
         logsumexp_gradient compute them); copy it to keep it longer. Raises
         DomainError unless varsigma2 is finite and >= 0.
         """
         _check_varsigma2(varsigma2)
-        d = self._slot(varsigma2).d.view()
+        d = self._fill(varsigma2).d.view()
         d.flags.writeable = False
         return d
 
-    def _slot(self, varsigma2: float) -> _Slot:
-        return self.workspace.slot(self._key, varsigma2, self._fill)
-
-    def _fill(self, varsigma2: float, out: np.ndarray):
-        parts = _table_parts(self.stack.values(self.L), varsigma2)
-        _gather_distances(list(_distance_tables(parts)), self.stack.pair_flat, out)
-        return parts
+    def _fill(self, varsigma2: float) -> PairWorkspace:
+        """The workspace, holding this vector's distances and table operands at varsigma2."""
+        ws, tag = self.workspace, (self._key, varsigma2)
+        if ws.d_tag != tag:
+            ws.d_tag = None
+            ws.parts = _table_parts(self.stack.values(self.L), varsigma2)
+            _gather_distances(list(_distance_tables(ws.parts)), self.stack.pair_flat, ws.d)
+            ws.d_tag = tag
+        return ws
 
 
 @dataclass(frozen=True)
@@ -241,21 +185,17 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
     dmax = max(len(r.users) for r in layout)
     cols = np.zeros((K, Qmax, dmax), dtype=np.intp)
     gains = np.zeros((K, Qmax, dmax))
-    real = np.zeros((K, Qmax, dmax), dtype=bool)
     short: dict[int, list[int]] = {}
     for k, r in enumerate(layout):
         Q, d = r.cols.shape
         cols[k, :Q, :d] = r.cols
         gains[k, :Q, :d] = r.gains
-        real[k, :Q, :d] = True
         if Q < Qmax:
             short.setdefault(Q, []).append(k)
-    k_of, q_of, _ = np.nonzero(real)
     stack = ResourceStack(
         cols=cols, gains=gains,
         pair_flat=tuple(_pair_flat(r.combos(digits), Qmax) for r in layout),
         short_rows=tuple((Q, np.array(ks)) for Q, ks in short.items()),
-        entry_rows=k_of * Qmax + q_of, entry_cols=cols[real], entry_gains=gains[real],
     )
     P = len(digits)
     return StackedVector(L=L, stack=stack, n_points=P,
@@ -411,11 +351,12 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
     The exponentials stay in the workspace for a gradient at the same point.
     """
     _check_stacked(L, beta, varsigma2)
-    d = L._slot(varsigma2).d
-    d_min = d.min()
-    total = _shifted_exp(d, d_min, beta, L.workspace.exp_buffer()).sum()
-    L.workspace.keep_exp((L._key, varsigma2, beta), total)
-    return float(np.log(total) / beta - d_min)
+    ws = L._fill(varsigma2)
+    d_min = ws.d.min()
+    ws.exp_tag = None
+    ws.exp_total = _shifted_exp(ws.d, d_min, beta, ws.exp).sum()
+    ws.exp_tag = (L._key, varsigma2, beta)
+    return float(np.log(ws.exp_total) / beta - d_min)
 
 
 def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.ndarray:
@@ -424,24 +365,23 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     The softmin pair weights are binned onto each resource's Q x Q table,
     chained through the tables' derivative in the resource values, and the
     value gradients are binned onto the entries of L. The table operands come
-    from the distance slot, and the exponentials from the last objective
-    when it was evaluated at the same (point, varsigma2, beta).
+    from the workspace's record of the point, and the exponentials from the
+    last objective when it was evaluated at the same (point, varsigma2, beta).
     """
     _check_stacked(L, beta, varsigma2)
-    ws, stack = L.workspace, L.stack
-    slot = L._slot(varsigma2)
-    w = ws.exp_buffer()
-    total = ws.take_exp((L._key, varsigma2, beta))
-    if total is None:
-        total = _shifted_exp(slot.d, slot.d.min(), beta, w).sum()
+    ws, stack = L._fill(varsigma2), L.stack
+    w, total = ws.exp, ws.exp_total
+    if ws.exp_tag != (L._key, varsigma2, beta):
+        total = _shifted_exp(ws.d, ws.d.min(), beta, w).sum()
+    # w becomes the softmin weights, so it no longer holds exponentials.
+    ws.exp_tag = None
     w /= total
 
-    diff, g, root = slot.parts
+    diff, g, root = ws.parts
     K, Q = g.shape
-    index = ws.index_buffer()
     W = np.empty((K, Q * Q))
     for k, flat in enumerate(stack.pair_flat):
-        W[k] = _bin_pairs(flat, w, index, Q * Q)
+        W[k] = _bin_pairs(flat, w, ws.index, Q * Q)
     W = W.reshape(K, Q, Q)
     # d(table[k, a, b])/d(v[k, a]); the tables are symmetric, so v[k, a]
     # collects the weights of the pairs where it is the first or the second point.
@@ -450,9 +390,9 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     dv = -terms.sum(axis=2)
     for q, ks in stack.short_rows:
         dv[ks, :q] = -terms[ks, :q, :q].sum(axis=2)
-    weights = dv.reshape(-1)[stack.entry_rows]
-    weights *= stack.entry_gains
-    return np.bincount(stack.entry_cols, weights=weights, minlength=L.L.size)
+    # Padding has gain 0, so its entries add exact zeros to the sums.
+    weights = dv[:, :, None] * stack.gains
+    return np.bincount(stack.cols.ravel(), weights=weights.ravel(), minlength=L.L.size)
 
 
 def epd_ellipses(

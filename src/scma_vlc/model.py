@@ -490,8 +490,8 @@ def power(book: Codebook) -> float:
 
 def scale_codebook_set(cb_set: CodebookSet, target_Pe: float) -> CodebookSet:
     """Rescale all books so the maximum per-user average power equals target_Pe."""
-    if target_Pe <= 0:
-        raise DomainError("target_Pe must be > 0")
+    if not (isfinite(target_Pe) and target_Pe > 0):
+        raise DomainError(f"target_Pe must be finite and > 0, got {target_Pe}")
     p_design = max(power(b) for b in cb_set.books)
     if p_design == 0:
         raise DomainError("cannot rescale an all-zero codebook set")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import isfinite
 from numbers import Integral
 
 import numpy as np
@@ -329,8 +330,8 @@ def sweep(
     pe_list = list(pe_list)
     if not pe_list:
         raise ConfigError("pe_list must be nonempty")
-    if any(pe <= 0 for pe in pe_list):
-        raise ConfigError("power levels must be positive")
+    if not all(isfinite(pe) and pe > 0 for pe in pe_list):
+        raise ConfigError("power levels must be finite and positive")
     if any(b <= a for a, b in zip(pe_list, pe_list[1:])):
         raise ConfigError("pe_list must be strictly increasing")
     if mode not in ("scale", "redesign"):

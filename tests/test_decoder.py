@@ -71,6 +71,17 @@ class TestInterfaces:
         with pytest.raises(DomainError):
             max_log_mpa(np.zeros(4), ls_j3, n_iters=0)
 
+    @pytest.mark.parametrize("n_iters", [2.5, np.float64(3.0), "3", True, False, None])
+    @pytest.mark.parametrize("decode", [max_log_mpa_batch, max_log_mpa, mpa_linear])
+    def test_rejects_non_integer_iters(self, ls_j3, decode, n_iters):
+        with pytest.raises(DomainError, match="n_iters"):
+            decode(np.ones(4), ls_j3, n_iters=n_iters)
+
+    @pytest.mark.parametrize("decode", [max_log_mpa, mpa_linear])
+    def test_accepts_numpy_integer_iters(self, ls_j3, decode):
+        np.testing.assert_array_equal(decode(np.ones(4), ls_j3, n_iters=np.int64(2)).beliefs,
+                                      decode(np.ones(4), ls_j3, n_iters=2).beliefs)
+
     def test_batch_matches_single(self, ls_j3):
         c = enumerate_superimposed(ls_j3)
         rng = np.random.default_rng(1)

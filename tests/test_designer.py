@@ -9,9 +9,10 @@ from scma_vlc import (
     project_feasible,
     random_init,
 )
-from scma_vlc.designer import _pgd_step, inner_solve
+from scma_vlc import metrics
+from scma_vlc.designer import _STEP_GROW, _pgd_step, inner_solve
 from scma_vlc.errors import ConfigError, DomainError
-from scma_vlc.metrics import logsumexp_objective, stack_codebook_set
+from scma_vlc.metrics import logsumexp_gradient, logsumexp_objective, stack_codebook_set
 
 from kernel_reference import patch_designer, reference_project
 
@@ -253,7 +254,7 @@ class TestStepUnderflow:
         L[0] = 0.0
         x = x.replace(L)
         f = logsumexp_objective(x, 10.0, PARAMS.varsigma2)
-        out, f_out, step, accepted = _pgd_step(x, f, 0.0, 10.0, PARAMS, FAST)
+        out, f_out, step, accepted = _pgd_step(x, f, 0.0, 10.0, PARAMS)
         assert out is x and f_out == f and step == 0.0 and not accepted
 
     def test_long_schedule_does_not_divide_by_zero(self):
@@ -265,6 +266,38 @@ class TestStepUnderflow:
                          max_inner_iters=0, starts=1, seed=108),
         )
         assert np.isfinite(r.final_d_min)
+
+
+class TestEvaluationReuse:
+    """The designer evaluates the objective at a point and then, once the point
+    is accepted, the gradient there; the gradient reuses the objective's
+    distances and exponentials instead of computing them again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_gather_distances": 0, "_shifted_exp": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(metrics, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(metrics, name, counted)
+        return calls
+
+    def test_gradient_after_objective(self, calls):
+        x = random_init(PARAMS, 0, template())
+        logsumexp_objective(x, 10.0, PARAMS.varsigma2)
+        logsumexp_gradient(x, 10.0, PARAMS.varsigma2)
+        assert calls == {"_gather_distances": 1, "_shifted_exp": 1}
+
+    def test_step_accepting_first_candidate(self, calls):
+        x = random_init(PARAMS, 0, template())
+        f = logsumexp_objective(x, 10.0, PARAMS.varsigma2)
+        calls.update(_gather_distances=0, _shifted_exp=0)
+        _, _, step, accepted = _pgd_step(x, f, 1.0, 10.0, PARAMS)
+        assert accepted and step == _STEP_GROW
+        # The candidate's objective; the gradient at x reused x's.
+        assert calls == {"_gather_distances": 1, "_shifted_exp": 1}
 
 
 class TestGoldenDesign:

@@ -241,6 +241,11 @@ class TestPowerAndScaling:
         with pytest.raises(DomainError):
             scale_codebook_set(ls_j3, 0.0)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_scale_rejects_non_finite(self, ls_j3, target):
+        with pytest.raises(DomainError, match="target_Pe"):
+            scale_codebook_set(ls_j3, target)
+
 
 class TestFixtures:
     def test_names(self):

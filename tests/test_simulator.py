@@ -506,6 +506,20 @@ class TestSweep:
             sweep([1.0, 2.0], cb_set=ls_j3, mode=mode, design_params=SystemParams(J=2),
                   max_frames=10, **{name: value})
 
+    @pytest.mark.parametrize("pe_list", [
+        [1.0, 2.0, np.nan], [1.0, 2.0, np.inf], [-np.inf, 1.0], [np.nan], [1.0, 0.0],
+    ])
+    @pytest.mark.parametrize("mode", ["scale", "redesign"])
+    def test_rejects_bad_levels_before_any_run(self, ls_j3, monkeypatch, mode, pe_list):
+        def fail(*args, **kw):
+            raise AssertionError("a design or a block ran")
+
+        monkeypatch.setattr(simulator, "design", fail)
+        monkeypatch.setattr(simulator, "max_log_mpa_batch", fail)
+        with pytest.raises(ConfigError, match="power levels"):
+            sweep(pe_list, cb_set=ls_j3, mode=mode, design_params=SystemParams(J=2),
+                  max_frames=10)
+
     def test_scale_mode_runs(self, ls_j3):
         pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=50, max_frames=50_000)
         assert [p.pe for p in pts] == [4.0, 6.0]
