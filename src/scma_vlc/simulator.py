@@ -22,10 +22,11 @@ DEFAULT_MAX_FRAMES = 1_000_000
 _FRAME_BLOCK = 4096
 
 # Memory budget of one batch of quadrature nodes in the union bound (at
-# J=6 a node takes about 2.4 MB, so a batch holds 3 nodes; on the J <= 4
-# fixtures all 153 fit in one). The bound can stop after any batch
-# (_BOUND_STOP).
+# J=6 a node takes about 2.4 MB, so a batch holds 3 nodes), and the most
+# nodes a batch holds, so that on the J <= 4 fixtures, where all 153 fit
+# the budget, the bound can still stop after a batch (_BOUND_STOP).
 _BOUND_BYTES = 8 * 1024 * 1024
+_BOUND_NODES = 32
 
 # The bound's factors are exp(_SHIFT / K - c T_k) over the K resources that
 # carry users, so every product is e^_SHIFT times the true one. The
@@ -179,12 +180,12 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     erfc formula within 1e-13 relative on the fixtures.
 
     How many of the 153 nodes run depends on the book. The nodes run in
-    order of ascending c, in batches of _BOUND_BYTES. Along that order no
-    factor entry grows, so neither does a node's value; a node at which the
-    flush leaves every factor diagonal adds exactly 0 and is not run, and
-    the loop stops after a batch once the nodes left can add at most
-    _BOUND_STOP of the total (at Pe 20 and varsigma2 5, ls-j6 runs 84
-    nodes and ls-j5 90; ls-j3 and ls-j4 run as one batch). Raises
+    order of ascending c, in batches of at most _BOUND_BYTES and
+    _BOUND_NODES nodes. Along that order no factor entry grows, so neither
+    does a node's value; a node at which the flush leaves every factor
+    diagonal adds exactly 0 and is not run, and the loop stops after a
+    batch once the nodes left can add at most _BOUND_STOP of the total (at
+    Pe 20 and varsigma2 5, ls-j6 runs 84 nodes and ls-j5 90). Raises
     CapacityError when M^J exceeds DEFAULT_MAX_POINTS.
     """
     p = cb_set.params
@@ -215,7 +216,7 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     keep = c * gap <= shift + 360.0
     c, w = c[keep], w[keep]
     rest = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # rest[i]: the weight from node i on
-    step = max(1, _BOUND_BYTES // plan.node_bytes)
+    step = max(1, min(_BOUND_NODES, _BOUND_BYTES // plan.node_bytes))
     total = 0.0
     for lo in range(0, len(c), step):
         hi = min(lo + step, len(c))

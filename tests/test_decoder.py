@@ -209,6 +209,15 @@ class TestOpCounts:
         with pytest.raises(ConfigError, match="n_iters"):
             graph_op_counts(load_fixture("ls-j3"), n_iters, "max_log")
 
+    @pytest.mark.parametrize("name,args", [
+        ("M", (0, 2, 4)), ("M", (4.0, 2, 4)), ("M", (True, 2, 4)),
+        ("d_f", (4, -1, 4)), ("d_f", (4, 0, 4)), ("d_f", (4, "2", 4)),
+        ("K", (4, 2, 0)), ("K", (4, 2, None)), ("K", (4, 2, False)),
+    ])
+    def test_rejects_bad_sizes(self, name, args):
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            op_counts(*args, 3, "max_log")
+
     def test_accepts_zero_and_numpy_integer_iters(self):
         assert op_counts(4, 2, 4, 0, "mpa") == OpCounts(0, 0, 0, 0)
         assert graph_op_counts(load_fixture("ls-j3"), np.int64(6), "mpa") == \
@@ -530,6 +539,70 @@ class TestSettleCount:
                                        (got.vn_to_rn, ref.vn_to_rn)):
                 for e in ref_msgs:
                     np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+
+def _assert_same_decode(got, ref):
+    for i in range(3):  # beliefs, llrs, hard bits
+        np.testing.assert_array_equal(got[i], ref[i])
+    for got_msgs, ref_msgs in zip(got[3], ref[3]):
+        assert set(got_msgs) == set(ref_msgs)
+        for e in ref_msgs:
+            np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+
+class TestSchedule:
+    # Values before settle are messages the schedule must still get right:
+    # at 1 and 2 iterations not every message of ls-j3 is final.
+    @pytest.mark.parametrize("name", _CYCLE_FREE)
+    def test_bitwise_equal_flooding_at_any_iteration_count(self, name, monkeypatch):
+        cb = _golden_set(name)
+        settle = decoder._build_tables(cb).settle
+        Y = _noisy_vectors(cb, 200, seed=17)
+        for n_iters in sorted({1, 2, settle, settle + 2}):
+            got = max_log_mpa_batch(Y, cb, n_iters=n_iters)
+            _assert_same_decode(got, _gather_max_log(Y, cb, n_iters, early_exit=False))
+            y = Y[0]
+            got = mpa_linear(y, cb, n_iters=n_iters)
+            with monkeypatch.context() as m:
+                _uncapped(m)
+                ref = mpa_linear(y, cb, n_iters=n_iters)
+            np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+            for got_msgs, ref_msgs in ((got.rn_to_vn, ref.rn_to_vn),
+                                       (got.vn_to_rn, ref.vn_to_rn)):
+                for e in ref_msgs:
+                    np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+    @pytest.mark.parametrize("name,uncapped,per_message", [
+        ("ls-j3", False, 1), ("ls-j3", True, 6), ("ls-j6", False, 6),
+    ])
+    def test_reduce_count(self, name, uncapped, per_message):
+        cb = load_fixture(name)
+        tables = decoder._build_tables(cb)
+        if uncapped:
+            tables = replace(tables, settle=None)
+        outs = []
+
+        def counting_max(x, axis, out):
+            outs.append(out)
+            return np.max(x, axis, out=out)
+
+        _, rn, _ = decoder._pass_messages(_noisy_vectors(cb, 50, seed=3), tables, 6,
+                                          counting_max)
+        # A degree-1 resource's message is its metric, copied without a reduce.
+        degrees = [cb.graph.df_per_rn[k] for k, _ in tables.edges]
+        writes = [sum(np.shares_memory(out, rn[e]) for out in outs) for e in range(len(degrees))]
+        assert writes == [per_message if d > 1 else 0 for d in degrees]
+        # Flooding reduces d (d - 1) / 2 continuations and d - 1 prefixes per
+        # resource and iteration.
+        flooding = 6 * sum(d * (d - 1) // 2 + d - 1 for d in cb.graph.df_per_rn if d > 1)
+        assert len(outs) == (flooding if per_message == 6 else sum(writes))
+
+    def test_built_once_per_tables_and_iters(self, ls_j3):
+        tables = decoder._build_tables(ls_j3)
+        steps = decoder._schedule(tables, 6)
+        assert decoder._schedule(tables, 6) is steps
+        assert decoder._schedule(tables, 2) is not steps
+        assert decoder._schedule(replace(tables, settle=None), 6) != steps
 
 
 class TestLogDomainSumProduct:

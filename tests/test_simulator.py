@@ -367,6 +367,17 @@ class TestStructuralBound:
         assert len(vals) > 100
         assert np.all(np.diff(vals) <= 0)
 
+    # At J <= 4 the whole node table fits the byte budget; the node cap still
+    # splits it, so the bound stops before the last node.
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4"])
+    def test_node_cap_lets_small_graphs_stop(self, name, contract_values):
+        cb = _at(load_fixture(name), 5.0, 20.0)
+        want = _chunked_union_bound(cb)
+        assert abs(analytical_ber(cb) - want) <= 1e-12 * want
+        assert len(contract_values) > 1
+        assert all(len(v) <= simulator._BOUND_NODES for v in contract_values)
+        assert sum(map(len, contract_values)) < len(simulator._craig_nodes()[0])
+
     def test_high_snr(self):
         # A bound near 1e-196: every term's argument is large, and the
         # contraction must keep the terms that matter above its flush floor.
