@@ -541,15 +541,6 @@ class TestSettleCount:
                     np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
 
 
-def _assert_same_decode(got, ref):
-    for i in range(3):  # beliefs, llrs, hard bits
-        np.testing.assert_array_equal(got[i], ref[i])
-    for got_msgs, ref_msgs in zip(got[3], ref[3]):
-        assert set(got_msgs) == set(ref_msgs)
-        for e in ref_msgs:
-            np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
-
-
 class TestSchedule:
     # Values before settle are messages the schedule must still get right:
     # at 1 and 2 iterations not every message of ls-j3 is final.
@@ -560,22 +551,29 @@ class TestSchedule:
         Y = _noisy_vectors(cb, 200, seed=17)
         for n_iters in sorted({1, 2, settle, settle + 2}):
             got = max_log_mpa_batch(Y, cb, n_iters=n_iters)
-            _assert_same_decode(got, _gather_max_log(Y, cb, n_iters, early_exit=False))
-            y = Y[0]
-            got = mpa_linear(y, cb, n_iters=n_iters)
+            ref = _gather_max_log(Y, cb, n_iters, early_exit=False)
+            for i in range(3):  # beliefs, llrs, hard bits
+                np.testing.assert_array_equal(got[i], ref[i])
+            for got_msgs, ref_msgs in zip(got[3], ref[3]):
+                assert set(got_msgs) == set(ref_msgs)
+                for e in ref_msgs:
+                    np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+            got = mpa_linear(Y[0], cb, n_iters=n_iters)
             with monkeypatch.context() as m:
                 _uncapped(m)
-                ref = mpa_linear(y, cb, n_iters=n_iters)
+                ref = mpa_linear(Y[0], cb, n_iters=n_iters)
             np.testing.assert_array_equal(got.beliefs, ref.beliefs)
             for got_msgs, ref_msgs in ((got.rn_to_vn, ref.rn_to_vn),
                                        (got.vn_to_rn, ref.vn_to_rn)):
                 for e in ref_msgs:
                     np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
 
-    @pytest.mark.parametrize("name,uncapped,per_message", [
-        ("ls-j3", False, 1), ("ls-j3", True, 6), ("ls-j6", False, 6),
+    # Flooding makes d (d - 1) / 2 continuation and d - 1 prefix reduces per
+    # resource of degree d and iteration: 6 x 4 on ls-j3, 6 x 20 on ls-j6.
+    @pytest.mark.parametrize("name,uncapped,per_message,calls", [
+        ("ls-j3", False, 1, 4), ("ls-j3", True, 6, 24), ("ls-j6", False, 6, 120),
     ])
-    def test_reduce_count(self, name, uncapped, per_message):
+    def test_reduce_count(self, name, uncapped, per_message, calls):
         cb = load_fixture(name)
         tables = decoder._build_tables(cb)
         if uncapped:
@@ -592,10 +590,7 @@ class TestSchedule:
         degrees = [cb.graph.df_per_rn[k] for k, _ in tables.edges]
         writes = [sum(np.shares_memory(out, rn[e]) for out in outs) for e in range(len(degrees))]
         assert writes == [per_message if d > 1 else 0 for d in degrees]
-        # Flooding reduces d (d - 1) / 2 continuations and d - 1 prefixes per
-        # resource and iteration.
-        flooding = 6 * sum(d * (d - 1) // 2 + d - 1 for d in cb.graph.df_per_rn if d > 1)
-        assert len(outs) == (flooding if per_message == 6 else sum(writes))
+        assert len(outs) == calls
 
     def test_built_once_per_tables_and_iters(self, ls_j3):
         tables = decoder._build_tables(ls_j3)
