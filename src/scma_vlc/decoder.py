@@ -11,7 +11,9 @@ marginalizes one neighbour axis at a time, right after adding that
 neighbour's message, and shares the reduced prefix between positions; with
 ``max`` each message is the same float as one joint max over the other axes.
 The public batch function takes frames on axis 0; the single-vector
-functions wrap a batch of one. Each resource's users, superimposed values and
+functions wrap a batch of one. A simulation decodes all its blocks in one
+workspace, whose messages are one tile wide, and reads only the hard
+decisions. Each resource's users, superimposed values and
 combination order come from model.resource_layout, shared with the designer
 and the union bound.
 
@@ -94,6 +96,8 @@ class _Tables:
     settle: int | None                    # iterations until every message is final
     # (n_iters, steps) of the last _schedule call; replace() starts it afresh.
     schedule: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # A simulation's workspace; with it max_log_mpa_batch returns hard bits only.
+    work: _Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _build_tables(cb_set: CodebookSet) -> _Tables:
@@ -266,7 +270,44 @@ def _rn_update(metric, views, edges, wanted, rn, sums, prefixes, reduce):
                         rn[edges[j + 1]] if n == 2 else prefixes[n - 1])
 
 
-def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=False):
+class _Workspace:
+    """Buffers of the kernel for calls of up to `frames` frames with one tables.
+
+    The scratch is one tile wide: the tile's received values frames last,
+    the per-resource metrics and, per count n of symbol axes, an extrinsic
+    sum and a prefix. With keep, the messages (E, M, frames) and beliefs
+    (J, M, frames) span all frames, as the public decoders return them.
+    Without it they are one tile wide and reused from tile to tile, and each
+    tile's hard decisions go to hard (frames, J, b): simulate_ber builds one
+    such workspace per run and reads only the hard bits.
+    """
+
+    def __init__(self, tables: _Tables, frames: int, keep: bool):
+        p = tables.params
+        M, J, E = p.M, p.J, len(tables.edges)
+        self.keep = keep
+        self.tile = max(1, _TILE_BYTES // (8 * max(v.size for v in tables.values)))
+        width = min(self.tile, frames)
+        span = frames if keep else width
+        d_max = max(len(es) for es in tables.rn_edges)
+        self.yt = np.empty((p.K, width))
+        self.metrics = [np.empty((v.size, width)) for v in tables.values]
+        self.sums = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max + 1)}
+        self.prefixes = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max)}
+        # With n_iters >= 1 every RN message is written in every tile before
+        # it is read (the output reads each one), so only the n_iters = 0
+        # of mpa_linear, which keeps all frames, reads these zeros.
+        self.rn = np.zeros((E, M, span))
+        self.vn = np.empty((E, M, span))
+        self.beliefs = np.empty((J, M, span))
+        if not keep:
+            b = tables.labels.shape[1]
+            self.max0, self.max1 = np.empty((2, J, b, width))
+            self.hard = np.empty((frames, J, b), dtype=bool)
+
+
+def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=False,
+                   work=None):
     """Message passing on (T, K) received vectors, frames last.
 
     reduce(x, axis, out) marginalizes one axis of x into out and may
@@ -286,33 +327,30 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
     all other messages to the metric and takes one joint max, bit for bit.
 
     Frames are independent, so the iterations run over frame tiles sized so
-    that the widest resource's metric fills _TILE_BYTES; the tile's scratch
-    tensors are allocated once per call and reused across tiles and
-    iterations.
+    that the widest resource's metric fills _TILE_BYTES, with the scratch
+    of a _Workspace reused across tiles and iterations: a fresh one that
+    keeps all frames, or work, a simulation's, whose messages and beliefs
+    are one tile wide. Then each tile's hard decisions go to work.hard, and
+    the arrays returned hold the last tile only.
     """
     p = tables.params
-    M, T, E = p.M, Y.shape[0], len(tables.edges)
+    M, T = p.M, Y.shape[0]
     steps = _schedule(tables, n_iters)
     log_prior = -np.log(M)
-    rn_all = np.zeros((E, M, T))
-    vn_all = np.full((E, M, T), log_prior)
-    tile = max(1, _TILE_BYTES // (8 * max(v.size for v in tables.values)))
-    width = min(tile, T)
-    d_max = max(len(es) for es in tables.rn_edges)
-    Yt = np.ascontiguousarray(Y.T)
-    # Scratch tensors for one tile, sliced to each tile's width: the metrics,
-    # and per count n of symbol axes an extrinsic sum and a prefix.
-    metric_bufs = [np.empty((v.size, width)) for v in tables.values]
-    sum_bufs = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max + 1)}
-    prefix_bufs = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max)}
+    if work is None:
+        work = _Workspace(tables, T, keep=True)
 
-    for lo in range(0, T, tile):
-        t = min(tile, T - lo)
-        rn, vn = rn_all[:, :, lo:lo + t], vn_all[:, :, lo:lo + t]
-        metrics = _rn_metrics(Yt[:, lo:lo + t], tables, include_logdet, force_awgn,
-                              [b[:, :t] for b in metric_bufs])
-        sums = {n: b[..., :t] for n, b in sum_bufs.items()}
-        prefixes = {n: b[..., :t] for n, b in prefix_bufs.items()}
+    for lo in range(0, T, work.tile):
+        t = min(work.tile, T - lo)
+        frames = slice(lo, lo + t) if work.keep else slice(0, t)
+        rn, vn = work.rn[:, :, frames], work.vn[:, :, frames]
+        vn.fill(log_prior)
+        yt = work.yt[:, :t]
+        np.copyto(yt, Y[lo:lo + t].T)
+        metrics = _rn_metrics(yt, tables, include_logdet, force_awgn,
+                              [b[:, :t] for b in work.metrics])
+        sums = {n: b[..., :t] for n, b in work.sums.items()}
+        prefixes = {n: b[..., :t] for n, b in work.prefixes.items()}
         # Each resource's VN messages shaped onto their metric axes; vn is
         # updated in place, so the views stay current.
         views = [
@@ -329,11 +367,33 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
                 for r in others:
                     vn[e] += rn[r]
 
-    beliefs = np.full((p.J, M, T), log_prior)
-    for j, es in enumerate(tables.vn_edges):
-        for e in es:
-            beliefs[j] += rn_all[e]
-    return beliefs, rn_all, vn_all
+        beliefs = work.beliefs[:, :, frames]
+        beliefs.fill(log_prior)
+        for j, es in enumerate(tables.vn_edges):
+            for e in es:
+                beliefs[j] += rn[e]
+        if not work.keep:
+            # max0 <= max1 is llr <= 0, the bit _outputs decides.
+            max0, max1 = work.max0[..., :t], work.max1[..., :t]
+            _bit_maxima(beliefs, tables.labels, max0, max1)
+            np.less_equal(max0, max1, out=work.hard[lo:lo + t].transpose(1, 2, 0))
+    return work.beliefs, work.rn, work.vn
+
+
+def _bit_maxima(beliefs, labels, max0, max1):
+    """Per-bit belief maxima of (J, M, t) beliefs into (J, b, t) max0 and max1.
+
+    max0[:, i] is the largest belief over the symbols whose bit i is 0,
+    max1[:, i] over those whose bit i is 1: np.maximum over one symbol's
+    slice at a time, the same floats as a max over the gathered symbols.
+    """
+    for i, column in enumerate(labels.T):
+        for out, syms in ((max0[:, i], np.flatnonzero(column == 0)),
+                          (max1[:, i], np.flatnonzero(column))):
+            # The first and last symbols first (the same one if there is one).
+            np.maximum(beliefs[:, syms[0]], beliefs[:, syms[-1]], out=out)
+            for m in syms[1:-1]:
+                np.maximum(out, beliefs[:, m], out=out)
 
 
 def _outputs(beliefs, rn, vn, tables):
@@ -343,10 +403,11 @@ def _outputs(beliefs, rn, vn, tables):
     tie decides bit 1. Messages are returned as (k, j) -> (T, M) views.
     """
     J, _, T = beliefs.shape
-    llrs = np.empty((T, J, tables.labels.shape[1]))
-    for i, mask in enumerate(tables.labels.T):
-        zero = mask == 0
-        llrs[:, :, i] = (beliefs[:, zero].max(axis=1) - beliefs[:, ~zero].max(axis=1)).T
+    b = tables.labels.shape[1]
+    max0, max1 = np.empty((2, J, b, T))
+    _bit_maxima(beliefs, tables.labels, max0, max1)
+    llrs = np.empty((T, J, b))
+    np.subtract(max0, max1, out=llrs.transpose(1, 2, 0))
     hard = (llrs <= 0).astype(np.uint8)
     messages = (
         {edge: rn[e].T for e, edge in enumerate(tables.edges)},
@@ -375,6 +436,11 @@ def max_log_mpa_batch(
     OpCounts or None): the same result as n_iters flooding iterations, and
     graph_op_counts for n_iters. Raises DomainError on NaN or inf in Y or
     unless n_iters is an integer >= 1.
+
+    tables, from _build_tables(cb_set), saves rebuilding them per call. A
+    simulation's tables carry its workspace (tables.work); then the result
+    is (None, None, hard bits, None, counts), the hard bits a bool view of
+    the workspace that the next call overwrites.
     """
     p = cb_set.params
     Y = _received(Y, p)
@@ -382,6 +448,9 @@ def max_log_mpa_batch(
     if tables is None:
         tables = _build_tables(cb_set)
     counts = graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None
+    if tables.work is not None:
+        _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn, tables.work)
+        return None, None, tables.work.hard[:len(Y)], None, counts
     beliefs, rn, vn = _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn)
     return (*_outputs(beliefs, rn, vn, tables), counts)
 

@@ -9,9 +9,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .decoder import DEFAULT_ITERS, _build_tables, max_log_mpa_batch
+from .decoder import DEFAULT_ITERS, _build_tables, _Workspace, max_log_mpa_batch
 from .designer import DesignConfig, design
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DimensionError, DomainError
 from .metrics import _check_noise
 from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
 from .model import label_table, pair_state_plan, resource_layout
@@ -46,10 +46,20 @@ _BOUND_STOP = 2.0**-60
 
 @dataclass(frozen=True)
 class TrialStream:
-    """Deterministic normal-deviate stream: (seed, stream_id) fixes the sequence."""
+    """Deterministic normal-deviate stream: (seed, stream_id) fixes the sequence.
+
+    Raises ConfigError unless seed and stream_id are integers >= 0 (a bool
+    is not an integer here; numpy integers are).
+    """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
+                raise ConfigError(f"{name} must be an integer >= 0, got {v!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(
@@ -85,16 +95,25 @@ def add_idgn(
     varsigma2: float,
     stream: TrialStream,
     rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample y = s + sqrt(s)*Z1 + Z0 with Z1 ~ N(0, varsigma2*sigma2), Z0 ~ N(0, sigma2).
 
     Componentwise: y_k ~ N(s_k, sigma2 * (1 + varsigma2 * s_k)). Pass `rng` to
     continue an already-open generator instead of restarting the stream.
-    Raises DomainError for a negative, NaN or infinite intensity, a sigma2
-    that is not finite and > 0 or a varsigma2 that is not finite and >= 0.
+    With `out`, a C-contiguous float array of the shape of s that does not
+    overlap it, the samples are written there and out is returned; they are
+    the same floats as without it. Raises DomainError for a negative, NaN
+    or infinite intensity, a sigma2 that is not finite and > 0 or a
+    varsigma2 that is not finite and >= 0, and DimensionError for an out of
+    another shape or one that overlaps s.
     """
     _check_noise(sigma2, varsigma2)
     s = np.asarray(s, dtype=float)
+    if out is None:
+        out = np.empty(s.shape)
+    elif out.shape != s.shape or np.may_share_memory(out, s):
+        raise DimensionError(f"out must be an array of the shape {s.shape} of s, apart from s")
     # sqrt is NaN for a negative or NaN entry and inf for +inf, so one
     # maximum over the roots checks every entry.
     with np.errstate(invalid="ignore"):
@@ -103,9 +122,15 @@ def add_idgn(
         raise DomainError("signal intensities must be finite and nonnegative")
     if rng is None:
         rng = stream.generator()
-    z1 = rng.standard_normal(s.shape) * np.sqrt(varsigma2 * sigma2)
-    z0 = rng.standard_normal(s.shape) * np.sqrt(sigma2)
-    return s + root * z1 + z0
+    # s + sqrt(s) Z1 + Z0 in place, the Z0 draw in the roots' array.
+    rng.standard_normal(out=out)
+    out *= np.sqrt(varsigma2 * sigma2)
+    out *= root
+    out += s
+    z0 = rng.standard_normal(out=root)
+    z0 *= np.sqrt(sigma2)
+    out += z0
+    return out
 
 
 def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) -> float:
@@ -117,6 +142,8 @@ def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) 
     _check_noise(sigma2, varsigma2)
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
+    if s_i.shape != s_j.shape:
+        raise DomainError("points must have equal length")
     if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
         raise DomainError("superimposed codewords must be finite")
     if np.any(s_i < 0) or np.any(s_j < 0):
@@ -248,23 +275,24 @@ def _check_run(n_iters: int, min_bit_errors: int | None, max_frames: int | None,
             raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
-def simulate_ber(
-    cb_set: CodebookSet,
-    n_iters: int = DEFAULT_ITERS,
-    min_bit_errors: int | None = DEFAULT_MIN_BIT_ERRORS,
-    max_frames: int | None = DEFAULT_MAX_FRAMES,
-    seed: int = 0,
-    compute_analytical: bool = True,
-) -> BerPoint:
-    """Seeded Monte Carlo BER of Max-Log decoding over the IDGN channel.
+def _count_errors(cb_set: CodebookSet, n_iters: int, min_bit_errors: int | None,
+                  max_frames: int | None, seed: int) -> tuple[int, int, np.ndarray]:
+    """Frames sent, bit errors and per-user bit errors of simulate_ber's blocks.
 
-    Frames run in blocks with per-block deterministic streams, stopping once
-    min_bit_errors errors have accumulated or max_frames frames were sent.
+    Every per-block array lives in buffers built once per run for
+    _FRAME_BLOCK frames, a ragged last block using their first rows: the
+    superposition, the received values, the sent bits and the errors here,
+    and the decoder's in a _Workspace on its tables, from which
+    max_log_mpa_batch returns only the hard bits. They are freed on return,
+    before simulate_ber computes the union bound.
     """
-    _check_run(n_iters, min_bit_errors, max_frames, seed)
     p = cb_set.params
     b = p.bits_per_symbol
     tables = _build_tables(cb_set)
+    tables.work = _Workspace(tables, _FRAME_BLOCK, keep=False)
+    s_all, y_all = np.empty((2, _FRAME_BLOCK, p.K))
+    sent_all = np.empty((_FRAME_BLOCK, p.J, b), dtype=tables.labels.dtype)
+    bad_all = np.empty((_FRAME_BLOCK, p.J, b), dtype=bool)
 
     frames = 0
     errors = 0
@@ -282,19 +310,41 @@ def simulate_ber(
         rng = stream.generator()
         syms = rng.integers(0, p.M, size=(T, p.J))  # 0-based symbols
         # Superposition: each resource's value gathered by its combination.
-        s = np.empty((T, p.K))
+        s = s_all[:T]
         for k, r in enumerate(tables.layout):
             s[:, k] = tables.values[k][r.combos(syms)]
-        y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng)
+        y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng, out=y_all[:T])
         _, _, hard, _, _ = max_log_mpa_batch(
             y, cb_set, n_iters, include_logdet=False, tables=tables
         )
-        sent_bits = tables.labels[syms]  # (T, J, b)
-        bad = hard != sent_bits
-        errors += int(bad.sum())
-        per_user_errors += bad.sum(axis=(0, 2))
+        sent_bits = np.take(tables.labels, syms, axis=0, out=sent_all[:T])  # (T, J, b)
+        bad = np.not_equal(hard, sent_bits, out=bad_all[:T])
+        block_errors = bad.sum(axis=(0, 2))
+        errors += int(block_errors.sum())
+        per_user_errors += block_errors
         frames += T
         block_id += 1
+    return frames, errors, per_user_errors
+
+
+def simulate_ber(
+    cb_set: CodebookSet,
+    n_iters: int = DEFAULT_ITERS,
+    min_bit_errors: int | None = DEFAULT_MIN_BIT_ERRORS,
+    max_frames: int | None = DEFAULT_MAX_FRAMES,
+    seed: int = 0,
+    compute_analytical: bool = True,
+) -> BerPoint:
+    """Seeded Monte Carlo BER of Max-Log decoding over the IDGN channel.
+
+    Frames run in blocks with per-block deterministic streams, stopping once
+    min_bit_errors errors have accumulated or max_frames frames were sent.
+    """
+    _check_run(n_iters, min_bit_errors, max_frames, seed)
+    p = cb_set.params
+    b = p.bits_per_symbol
+    frames, errors, per_user_errors = _count_errors(cb_set, n_iters, min_bit_errors,
+                                                    max_frames, seed)
 
     # Both bounds are >= 1, so at least one block ran and bits_sent > 0.
     bits_sent = frames * p.J * b

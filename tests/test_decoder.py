@@ -265,8 +265,9 @@ class TestIrregularOpCounts:
 
 class TestEarlyExit:
     def test_same_answer_with_and_without(self, ls_j3):
-        # ls-j3 is cycle-free, so the decoder stops after 3 of the 6
-        # iterations; the reference runs all 6.
+        # ls-j3 is cycle-free, so the decoder's schedule computes each
+        # message once (6 RN and 6 VN updates); the reference floods all 6
+        # iterations.
         rng = np.random.default_rng(9)
         c = enumerate_superimposed(ls_j3)
         Y = c.points[rng.integers(0, 64, size=10)] + 0.1 * rng.standard_normal((10, 4))
@@ -486,6 +487,37 @@ class TestFrameTiles:
                     assert set(got_msgs) == set(ref_msgs)
                     for e in ref_msgs:
                         np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
+
+class TestWorkspace:
+    def test_successive_calls_share_no_memory(self, ls_j3):
+        Y = _noisy_vectors(ls_j3, 50, seed=2)
+        for kw in ({}, {"tables": decoder._build_tables(ls_j3)}):
+            a, b = max_log_mpa_batch(Y, ls_j3, **kw), max_log_mpa_batch(Y, ls_j3, **kw)
+            for x, y in zip(a[:3], b[:3]):  # beliefs, llrs, hard bits
+                assert not np.shares_memory(x, y)
+            for msgs_a, msgs_b in zip(a[3], b[3]):
+                for e in msgs_a:
+                    assert not np.shares_memory(msgs_a[e], msgs_b[e])
+                    assert not np.shares_memory(msgs_a[e], Y)
+
+    # A simulation's workspace (tables.work) for 300 frames with tiles of 97:
+    # the hard bits of ragged blocks are those of the public call.
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j5", "ls-j6", "random-j1", "random-j5"])
+    def test_workspace_hard_bits(self, name, monkeypatch):
+        cb = _golden_set(name)
+        widest = max(cb.params.M ** d for d in cb.graph.df_per_rn)
+        monkeypatch.setattr(decoder, "_TILE_BYTES", 97 * 8 * widest)
+        tables = decoder._build_tables(cb)
+        tables.work = decoder._Workspace(tables, 300, keep=False)
+        Y = _noisy_vectors(cb, 300, seed=19)
+        for T in (300, 200, 5):
+            for n_iters in (1, 6):
+                got = max_log_mpa_batch(Y[-T:], cb, n_iters, tables=tables)
+                want = max_log_mpa_batch(Y[-T:], cb, n_iters)
+                assert got[0] is got[1] is got[3] is got[4] is None
+                assert np.shares_memory(got[2], tables.work.hard)
+                np.testing.assert_array_equal(got[2], want[2])
 
 
 _CYCLE_FREE = ["ls-j3", "dr-j3", "random-j1", "random-j2"]

@@ -14,6 +14,7 @@ from scma_vlc import (
     TrialStream,
     add_idgn,
     analytical_ber,
+    decoder,
     enumerate_superimposed,
     load_fixture,
     pep_idgn,
@@ -23,8 +24,10 @@ from scma_vlc import (
     simulator,
     sweep,
 )
-from scma_vlc.errors import CapacityError, ConfigError, DomainError
+from scma_vlc.decoder import max_log_mpa_batch
+from scma_vlc.errors import CapacityError, ConfigError, DimensionError, DomainError
 from scma_vlc.model import Codebook, PairStatePlan, codebook_set_from_constellations
+from scma_vlc.model import label_table, resource_layout
 
 from conftest import random_codebook_set
 
@@ -164,6 +167,18 @@ class TestTrialStream:
         b = TrialStream(seed=1, stream_id=1).generator().standard_normal(8)
         assert np.any(a != b)
 
+    @pytest.mark.parametrize("name", ["seed", "stream_id"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True, False, "3", None, np.float64(2.0)])
+    def test_rejects_bad_seeds(self, name, value):
+        kw = {"seed": 0, name: value}
+        with pytest.raises(ConfigError, match=name):
+            TrialStream(**kw)
+
+    def test_accepts_numpy_integers(self):
+        a = TrialStream(seed=np.int64(1), stream_id=np.uint32(2)).generator().standard_normal(8)
+        b = TrialStream(seed=1, stream_id=2).generator().standard_normal(8)
+        np.testing.assert_array_equal(a, b)
+
 
 class TestAddIdgn:
     def test_rejects_negative_intensity(self):
@@ -200,6 +215,33 @@ class TestAddIdgn:
         b = add_idgn(s, 0.01, 5.0, TrialStream(seed=3))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("shape", [(7,), (300, 4)])
+    @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
+    def test_out_matches_allocating_call(self, shape, varsigma2):
+        s = np.random.default_rng(2).uniform(0.0, 9.0, size=shape)
+        want = add_idgn(s, 0.01, varsigma2, TrialStream(seed=3, stream_id=1))
+        # The floats of the formula, from the stream's two draws in order.
+        rng = TrialStream(seed=3, stream_id=1).generator()
+        z1 = rng.standard_normal(shape) * np.sqrt(varsigma2 * 0.01)
+        z0 = rng.standard_normal(shape) * np.sqrt(0.01)
+        np.testing.assert_array_equal(want, s + np.sqrt(s) * z1 + z0)
+        out = np.full(shape, np.nan)
+        got = add_idgn(s, 0.01, varsigma2, TrialStream(seed=3, stream_id=1), out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        # A continued generator draws the same way into out.
+        rng_a, rng_b = TrialStream(seed=5).generator(), TrialStream(seed=5).generator()
+        want = [add_idgn(s, 0.01, varsigma2, None, rng=rng_a) for _ in range(2)]
+        got = [add_idgn(s, 0.01, varsigma2, None, rng=rng_b, out=np.empty(shape))
+               for _ in range(2)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_rejects_bad_out(self):
+        s = np.ones((5, 4))
+        for out in (np.empty((5, 3)), np.empty(20), s, s[:, :]):
+            with pytest.raises(DimensionError):
+                add_idgn(s, 0.01, 5.0, TrialStream(seed=0), out=out)
+
 
 class TestPep:
     def test_awgn_reduction(self):
@@ -234,6 +276,13 @@ class TestPep:
     def test_rejects_bad_noise_params(self, sigma2, varsigma2):
         with pytest.raises(DomainError):
             pep_idgn(np.array([0.0, 1.0]), np.array([1.0, 0.5]), sigma2, varsigma2)
+
+    @pytest.mark.parametrize("s_i, s_j", [
+        (np.ones(4), np.ones(3)), (np.ones(3), np.ones(4)), (np.ones((2, 4)), np.ones(4)),
+    ])
+    def test_rejects_unequal_lengths(self, s_i, s_j):
+        with pytest.raises(DomainError, match="equal length"):
+            pep_idgn(s_i, s_j, 0.01, 1.0)
 
 
 class TestAnalyticalBer:
@@ -328,8 +377,9 @@ class TestStructuralBound:
         want = _chunked_union_bound(cb)
         assert abs(analytical_ber(cb) - want) <= 1e-12 * want
 
-    # ls-j3 runs as one batch of nodes; ls-j5 runs in several, so the bound
-    # can stop after one of them.
+    # ls-j5 runs in several batches of nodes, so the bound can stop after
+    # one of them (by the 32-node cap ls-j3 does too; see
+    # test_node_cap_lets_small_graphs_stop).
     @pytest.mark.parametrize("eps", [0.0, 1e-4])
     @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
     def test_near_coincident_codewords_multi_batch(self, eps, varsigma2, contract_values):
@@ -339,7 +389,8 @@ class TestStructuralBound:
         assert len(contract_values) > 1
 
     # A one-byte batch budget runs each node as its own batch, so the stop is
-    # tested after every node, on graphs that otherwise run one batch.
+    # tested after every node, on graphs whose batches otherwise hold up to
+    # 32 nodes.
     @pytest.mark.parametrize("cb", [
         load_fixture("ls-j3"), load_fixture("ls-j4"), random_codebook_set(5, seed=5, K=5),
     ], ids=["ls-j3", "ls-j4", "random-j5-k5"])
@@ -472,6 +523,123 @@ class TestSimulateBer:
         assert np.isfinite(pt.ber_analytical)
         # Aggregate BER is the mean of the per-user BERs.
         assert abs(pt.per_user_ber.mean() - pt.ber_sim) < 1e-12
+
+
+def _fresh_block_ber(cb_set, n_iters=6, min_bit_errors=None, max_frames=None, seed=0):
+    """(pe, bits_sent, bit_errors, ber_sim, ci95_halfwidth, per_user_ber) of
+    simulate_ber's block loop with fresh arrays per block: the public
+    max_log_mpa_batch decodes each block, and its hard bits are compared with
+    the labels of the sent symbols."""
+    p = cb_set.params
+    L, layout = resource_layout(cb_set)
+    values = [r.values(L) for r in layout]
+    labels = label_table(p.M)
+    frames = errors = block_id = 0
+    per_user = np.zeros(p.J, dtype=np.int64)
+    while not ((max_frames is not None and frames >= max_frames)
+               or (min_bit_errors is not None and errors >= min_bit_errors)):
+        T = simulator._FRAME_BLOCK
+        if max_frames is not None:
+            T = min(T, max_frames - frames)
+        stream = TrialStream(seed=seed, stream_id=block_id)
+        rng = stream.generator()
+        syms = rng.integers(0, p.M, size=(T, p.J))
+        s = np.empty((T, p.K))
+        for k, r in enumerate(layout):
+            s[:, k] = values[k][r.combos(syms)]
+        y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng)
+        bad = max_log_mpa_batch(y, cb_set, n_iters)[2] != labels[syms]
+        errors += int(bad.sum())
+        per_user += bad.sum(axis=(0, 2))
+        frames += T
+        block_id += 1
+    bits_sent = frames * p.J * p.bits_per_symbol
+    ber = errors / bits_sent
+    ci = float(1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / bits_sent))
+    return p.Pe, bits_sent, errors, ber, ci, per_user / (frames * p.bits_per_symbol)
+
+
+def _fields(point):
+    return (point.pe, point.bits_sent, point.bit_errors, point.ber_sim, point.ci95_halfwidth,
+            point.per_user_ber)
+
+
+class TestSimulationWorkspace:
+    """simulate_ber's per-run buffers against fresh arrays per block."""
+
+    SETS = {
+        "ls-j3": lambda: load_fixture("ls-j3"), "ls-j4": lambda: load_fixture("ls-j4"),
+        "ls-j5": lambda: load_fixture("ls-j5"), "ls-j6": lambda: load_fixture("ls-j6"),
+        "dr-j3": lambda: load_fixture("dr-j3"),
+        "random-j4": lambda: random_codebook_set(4, seed=21),
+        "random-j5-k5": lambda: random_codebook_set(5, seed=22, K=5),
+    }
+
+    def _assert_same(self, got, want):
+        assert _fields(got)[:5] == want[:5]
+        np.testing.assert_array_equal(got.per_user_ber, want[5])
+
+    # 2 full blocks and a ragged one; ls-j6's 1024-frame tiles leave a
+    # ragged tile in the last block.
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_ragged_max_frames(self, name):
+        cb = scale_codebook_set(self.SETS[name](), 10.0)
+        kw = dict(min_bit_errors=None, max_frames=2 * simulator._FRAME_BLOCK + 777, seed=6)
+        got = simulate_ber(cb, compute_analytical=False, **kw)
+        assert got.bit_errors > 0
+        self._assert_same(got, _fresh_block_ber(cb, **kw))
+
+    # Error targets of about three blocks at Pe 8.
+    @pytest.mark.parametrize("name, min_bit_errors", [
+        ("ls-j3", 50), ("dr-j3", 120), ("ls-j6", 20_000), ("random-j5-k5", 25_000),
+    ])
+    def test_stops_on_min_bit_errors(self, name, min_bit_errors):
+        cb = scale_codebook_set(self.SETS[name](), 8.0)
+        kw = dict(min_bit_errors=min_bit_errors, max_frames=None, seed=2, n_iters=4)
+        got = simulate_ber(cb, compute_analytical=False, **kw)
+        assert got.bits_sent > cb.params.J * cb.params.bits_per_symbol * simulator._FRAME_BLOCK
+        self._assert_same(got, _fresh_block_ber(cb, **kw))
+
+    # Tiles of 97 frames, so every block ends on a ragged tile of the reused
+    # one-tile messages; the last block is shorter than one tile.
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j6"])
+    def test_ragged_tiles(self, name, monkeypatch):
+        cb = scale_codebook_set(load_fixture(name), 10.0)
+        widest = max(cb.params.M ** d for d in cb.graph.df_per_rn)
+        monkeypatch.setattr(decoder, "_TILE_BYTES", 97 * 8 * widest)
+        kw = dict(min_bit_errors=None, max_frames=simulator._FRAME_BLOCK + 50, seed=1)
+        self._assert_same(simulate_ber(cb, compute_analytical=False, **kw),
+                          _fresh_block_ber(cb, **kw))
+
+    def test_one_call_per_block_and_one_workspace_per_run(self, ls_j3, monkeypatch):
+        decode, noise, workspace = (simulator.max_log_mpa_batch, simulator.add_idgn,
+                                    simulator._Workspace)
+        decoded, noised, built = [], [], []
+
+        def decode_spy(y, cb_set, *args, **kwargs):
+            decoded.append((len(y), kwargs["tables"]))
+            return decode(y, cb_set, *args, **kwargs)
+
+        def noise_spy(s, *args, **kwargs):
+            noised.append(len(s))
+            return noise(s, *args, **kwargs)
+
+        def workspace_spy(*args, **kwargs):
+            built.append(workspace(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulator, "max_log_mpa_batch", decode_spy)
+        monkeypatch.setattr(simulator, "add_idgn", noise_spy)
+        monkeypatch.setattr(simulator, "_Workspace", workspace_spy)
+        blocks = [simulator._FRAME_BLOCK] * 2 + [100]
+        for run in (1, 2):
+            simulate_ber(ls_j3, min_bit_errors=None, max_frames=sum(blocks),
+                         compute_analytical=False)
+            assert len(built) == run
+            assert [n for n, _ in decoded] == noised == blocks
+            assert all(tables.work is built[-1] for _, tables in decoded)
+            decoded.clear()
+            noised.clear()
 
 
 class TestSweep:
