@@ -44,6 +44,12 @@ _SHIFT = 640.0
 _BOUND_STOP = 2.0**-60
 
 
+def _check_integer(name: str, v, least: int) -> None:
+    """Raise ConfigError unless v is an integer >= least (a bool is not one here)."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class TrialStream:
     """Deterministic normal-deviate stream: (seed, stream_id) fixes the sequence.
@@ -56,10 +62,8 @@ class TrialStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
-                raise ConfigError(f"{name} must be an integer >= 0, got {v!r}")
+        _check_integer("seed", self.seed, 0)
+        _check_integer("stream_id", self.stream_id, 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(
@@ -271,8 +275,7 @@ def _check_run(n_iters: int, min_bit_errors: int | None, max_frames: int | None,
                            ("min_bit_errors", min_bit_errors, 1), ("max_frames", max_frames, 1)):
         if v is None and name in ("min_bit_errors", "max_frames"):
             continue
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {v!r}")
+        _check_integer(name, v, least)
 
 
 def _count_errors(cb_set: CodebookSet, n_iters: int, min_bit_errors: int | None,
