@@ -55,16 +55,11 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _config_dict(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _write_manifest(out_path: Path, command: str, config: dict, inputs: list[Path],
-                    started: str) -> None:
+def _write_manifest(out_path: Path, args, inputs: list[Path], started: str) -> None:
     finished = datetime.now(timezone.utc)
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "tool_version": __version__,
         "input_digests": {str(p): _digest(p) for p in inputs},
         "started": started,
@@ -73,11 +68,20 @@ def _write_manifest(out_path: Path, command: str, config: dict, inputs: list[Pat
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpu_count": os.cpu_count()},
     }
-    if command in ("simulate", "sweep"):
+    if args.command in ("simulate", "sweep"):
         manifest["generator"] = _NOISE_GENERATOR
     out_path.with_suffix(out_path.suffix + ".manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n"
     )
+
+
+def _write_csv(out_path: Path, header: list, rows, args, inputs: list[Path], started: str) -> None:
+    """Write the finished rows under header to out_path, then its manifest."""
+    with out_path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    _write_manifest(out_path, args, inputs, started)
 
 
 def _now() -> str:
@@ -109,7 +113,7 @@ def _cmd_design(args) -> int:
         ),
     }
     Path(str(out) + ".report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out, "design", _config_dict(args), [], started)
+    _write_manifest(out, args, [], started)
     print(f"wrote {out} (d_min = {result.final_d_min:.6g})")
     return EXIT_OK
 
@@ -138,35 +142,27 @@ def _cmd_analyze(args) -> int:
     report = pairwise_report(constellation, vs2)
     summary = {"d_min": report.d_min, "d_max": report.d_max,
                "pair_count": report.pair_count}
+    # Every artifact's data is computed before the first file is written.
+    artifacts = []
+    if args.pairs_csv:
+        P = len(constellation.points)
+        pairs = ((i, j) for i in range(1, P + 1) for j in range(i + 1, P + 1))
+        d = stack_codebook_set(cb_set).distances(vs2).tolist()
+        artifacts.append((args.pairs_csv, ["pair_i", "pair_j", "red"],
+                          ([i, j, repr(x)] for (i, j), x in zip(pairs, d))))
+    if args.ellipses_csv:
+        rows = []
+        for book in cb_set.books:
+            ellipses = epd_ellipses(book, cb_set.params.sigma2, vs2, confidence=args.confidence)
+            rows += [[book.user_index, m, *(repr(float(v)) for v in (*e.center, *e.semi_axes))]
+                     for m, e in enumerate(ellipses, start=1)]
+        artifacts.append((args.ellipses_csv,
+                          ["user", "point", "center_1", "center_2", "a_1", "a_2"], rows))
     if args.summary_json:
         Path(args.summary_json).write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary))
-    if args.pairs_csv:
-        out = Path(args.pairs_csv)
-        with out.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pair_i", "pair_j", "red"])
-            P = len(constellation.points)
-            pairs = ((i, j) for i in range(1, P + 1) for j in range(i + 1, P + 1))
-            d = stack_codebook_set(cb_set).distances(vs2).tolist()
-            w.writerows([i, j, repr(x)] for (i, j), x in zip(pairs, d))
-        _write_manifest(out, "analyze", _config_dict(args), [cb_path], started)
-    if args.ellipses_csv:
-        out = Path(args.ellipses_csv)
-        with out.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user", "point", "center_1", "center_2", "a_1", "a_2"])
-            for book in cb_set.books:
-                ellipses = epd_ellipses(
-                    book, cb_set.params.sigma2, vs2, confidence=args.confidence
-                )
-                for m, e in enumerate(ellipses, start=1):
-                    w.writerow([
-                        book.user_index, m,
-                        repr(float(e.center[0])), repr(float(e.center[1])),
-                        repr(float(e.semi_axes[0])), repr(float(e.semi_axes[1])),
-                    ])
-        _write_manifest(out, "analyze", _config_dict(args), [cb_path], started)
+    for out, header, rows in artifacts:
+        _write_csv(Path(out), header, rows, args, [cb_path], started)
     return EXIT_OK
 
 
@@ -183,22 +179,19 @@ def _cmd_decode(args) -> int:
     _, llrs, hard, _, _ = max_log_mpa_batch(
         Y, cb_set, args.iters, include_logdet=args.logdet
     )
-    out = Path(args.out)
     b = p.bits_per_symbol
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["frame"]
-        for j in range(1, p.J + 1):
-            header += [f"bits_user_{j}"] + [f"llr_user_{j}_bit_{i}" for i in range(1, b + 1)]
-        w.writerow(header)
-        for t in range(len(Y)):
-            row = [t + 1]
-            for j in range(p.J):
-                row.append("".join(str(int(v)) for v in hard[t, j]))
-                row += [repr(float(v)) for v in llrs[t, j]]
-            w.writerow(row)
-    _write_manifest(out, "decode", _config_dict(args), [cb_path, Path(args.input)], started)
-    print(f"wrote {out}")
+    header = ["frame"]
+    for j in range(1, p.J + 1):
+        header += [f"bits_user_{j}"] + [f"llr_user_{j}_bit_{i}" for i in range(1, b + 1)]
+    rows = []
+    for t in range(len(Y)):
+        row = [t + 1]
+        for j in range(p.J):
+            row.append("".join(str(int(v)) for v in hard[t, j]))
+            row += [repr(float(v)) for v in llrs[t, j]]
+        rows.append(row)
+    _write_csv(Path(args.out), header, rows, args, [cb_path, Path(args.input)], started)
+    print(f"wrote {Path(args.out)}")
     return EXIT_OK
 
 
@@ -220,6 +213,16 @@ def _load_design_spec(path: str) -> tuple[SystemParams, DesignConfig]:
     return params, config
 
 
+def _load_sources(args):
+    """(codebook set of --cb, params and config of --design-spec, their paths); None if absent."""
+    cb_set = params = config = None
+    if args.cb:
+        cb_set = load_codebook_set(args.cb)
+    if args.design_spec:
+        params, config = _load_design_spec(args.design_spec)
+    return cb_set, params, config, [Path(p) for p in (args.cb, args.design_spec) if p]
+
+
 def _ber_rows(points, J):
     rows = []
     for pt in points:
@@ -235,26 +238,14 @@ def _ber_rows(points, J):
 
 def _cmd_simulate(args) -> int:
     started = _now()
-    inputs = []
-    if args.cb:
-        cb_path = Path(args.cb)
-        inputs.append(cb_path)
-        cb_set = load_codebook_set(cb_path)
-    else:
-        params, config = _load_design_spec(args.design_spec)
-        inputs.append(Path(args.design_spec))
+    cb_set, params, config, inputs = _load_sources(args)
+    if cb_set is None:
         cb_set = design(params, config).set
     point = simulate_ber(
         cb_set, n_iters=args.iters, min_bit_errors=args.min_errors,
         max_frames=args.max_frames, seed=args.seed,
     )
-    header, rows = _ber_rows([point], cb_set.params.J)
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    _write_manifest(out, "simulate", _config_dict(args), inputs, started)
+    _write_csv(Path(args.out), *_ber_rows([point], cb_set.params.J), args, inputs, started)
     print(f"ber_sim = {point.ber_sim:.6g}, ber_analytical = {point.ber_analytical:.6g}")
     return EXIT_OK
 
@@ -262,30 +253,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     started = _now()
     pe_list = [float(v) for v in args.pe_list.split(",")]
-    inputs = []
-    cb_set = None
-    params = config = None
-    if args.cb:
-        cb_path = Path(args.cb)
-        inputs.append(cb_path)
-        cb_set = load_codebook_set(cb_path)
-    if args.design_spec:
-        params, config = _load_design_spec(args.design_spec)
-        inputs.append(Path(args.design_spec))
+    cb_set, params, config, inputs = _load_sources(args)
     points = sweep(
         pe_list, cb_set=cb_set, design_params=params, design_config=config,
         mode=args.mode, n_iters=args.iters, min_bit_errors=args.min_errors,
         max_frames=args.max_frames, seed=args.seed,
     )
     J = points and (cb_set.params.J if cb_set else params.J)
-    header, rows = _ber_rows(points, J)
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    _write_manifest(out, "sweep", _config_dict(args), inputs, started)
-    print(f"wrote {out} ({len(points)} points)")
+    _write_csv(Path(args.out), *_ber_rows(points, J), args, inputs, started)
+    print(f"wrote {Path(args.out)} ({len(points)} points)")
     return EXIT_OK
 
 
@@ -336,8 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     de.set_defaults(func=_cmd_decode)
 
     si = sub.add_parser("simulate", help="Monte Carlo BER at one power level")
-    si.add_argument("--cb")
-    si.add_argument("--design-spec")
+    # Exclusive but not required: main asks for one, so parse_args(["simulate"]) reads defaults.
+    source = si.add_mutually_exclusive_group()
+    source.add_argument("--cb")
+    source.add_argument("--design-spec")
     si.add_argument("--seed", type=int, default=_default(simulate_ber, "seed"))
     si.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
     si.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)

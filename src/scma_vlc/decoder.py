@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, check_integer
+from .errors import ConfigError, DimensionError, DomainError, check_array, check_integer
 from .model import CodebookSet, ResourceLayout, enumerate_superimposed
 from .model import label_table, resource_layout
 
@@ -180,14 +180,18 @@ def _schedule(tables: _Tables, n_iters: int) -> list:
     return steps
 
 
-def _received(Y, p) -> np.ndarray:
-    """Received vectors as a (T, K) float array.
+def _received(Y, p, single: bool = False) -> np.ndarray:
+    """Received vectors as (T, K) floats; with single, one (K,) vector as (1, K).
 
-    Rejects a wrong length, non-finite entries and entries so large that the
-    messages would overflow (|y| above sqrt(2 sigma2 _METRIC_LIMIT); every
-    per-resource variance is at least sigma2).
+    Rejects more than two dimensions (with single, anything but one vector), a
+    wrong length, entries that are not finite integers or floats and entries so
+    large that the messages would overflow (|y| above sqrt(2 sigma2
+    _METRIC_LIMIT); every per-resource variance is at least sigma2).
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = check_array("received vectors", Y, DomainError, finite=False)
+    if Y.ndim > 2 or single and Y.ndim != 1:
+        raise DimensionError(f"received vectors must be of shape {'(K,)' if single else '(T, K)'}")
+    Y = np.atleast_2d(Y)
     if Y.shape[1] != p.K:
         raise DimensionError(f"received vectors must have length K={p.K}")
     limit = np.sqrt(2.0 * p.sigma2 * _METRIC_LIMIT)
@@ -428,8 +432,8 @@ def max_log_mpa_batch(
 
     Returns (beliefs (T,J,M), llrs (T,J,b), hard bits (T,J,b), messages,
     OpCounts or None): the same result as n_iters flooding iterations, and
-    graph_op_counts for n_iters. Raises DomainError on NaN or inf in Y or
-    unless n_iters is an integer >= 1.
+    graph_op_counts for n_iters. Y is checked by _received; raises
+    DomainError unless n_iters is an integer >= 1.
 
     tables, from _build_tables(cb_set), saves rebuilding them per call. A
     simulation's tables carry its workspace (tables.work); then the result
@@ -476,7 +480,7 @@ def max_log_mpa(
     replaces every per-RN variance by the thermal variance sigma2.
     """
     out = max_log_mpa_batch(
-        np.asarray(y, dtype=float)[None, :], cb_set, n_iters,
+        _received(y, cb_set.params, single=True), cb_set, n_iters,
         include_logdet=include_logdet, count_ops=count_ops, force_awgn=force_awgn,
     )
     return _single_state(*out)
@@ -495,10 +499,7 @@ def mpa_linear(
     can underflow to all-zero. Despite the name, it runs in the log domain.
     Takes one received vector; a (T, K) batch raises DimensionError.
     """
-    p = cb_set.params
-    if np.ndim(y) != 1:
-        raise DimensionError("mpa_linear decodes one received vector of shape (K,)")
-    Y = _received(y, p)
+    Y = _received(y, cb_set.params, single=True)
     check_integer("n_iters", n_iters, DomainError, least=0)
     tables = _build_tables(cb_set)
     beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True)
@@ -533,7 +534,7 @@ def joint_map_bruteforce(
     Ties are broken toward the lowest tuple index. Returns the 1-based symbol
     tuple and the concatenated bit labels.
     """
-    ll, constellation = loglik_table(np.asarray(y, dtype=float)[None, :], cb_set)
+    ll, constellation = loglik_table(_received(y, cb_set.params, single=True), cb_set)
     i = int(np.argmax(ll[0]))
     return tuple(int(m) for m in constellation.index_tuples[i]), constellation.bit_labels[i].copy()
 

@@ -13,7 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, check_integer, check_real
+from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import check_integer, check_real, check_sequence
 from .metrics import (
     StackedVector,
     logsumexp_gradient,
@@ -51,11 +52,12 @@ class DesignConfig:
     epsilon_floor: ClassVar[float] = 0.01
 
     def __post_init__(self):
-        if not self.beta_schedule:
+        schedule = check_sequence("beta_schedule", self.beta_schedule, ConfigError)
+        if not schedule:
             raise ConfigError("beta_schedule must not be empty")
-        for b in self.beta_schedule:
+        for b in schedule:
             check_real("beta_schedule entries", b, ConfigError, above=0)
-        if any(b2 <= b1 for b1, b2 in zip(self.beta_schedule, self.beta_schedule[1:])):
+        if any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
             raise ConfigError("beta_schedule must be strictly increasing")
         for name, least in (("starts", 1), ("max_inner_iters", 0), ("seed", 0)):
             check_integer(name, getattr(self, name), ConfigError, least=least)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and its checks of integer and real settings."""
+"""Exception types shared across the package, and its checks of settings, arrays and sequences."""
 
 from math import isfinite
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ScmaVlcError(Exception):
@@ -55,3 +57,28 @@ def check_real(name: str, v, error: type, least: float | None = None,
     bounds = "".join(f" and {op} {b}" for op, b in ((">=", least), (">", above), ("<", below))
                      if b is not None)
     raise error(f"{name} must be a real number, finite{bounds}, got {v!r}")
+
+
+def check_array(name: str, x, error: type, nonnegative: bool = False,
+                finite: bool = True) -> np.ndarray:
+    """x as a float array; raise error unless its dtype is an integer or a float (so
+    bool, string, object, complex and ragged input fail), its entries are finite (unless
+    finite is False, for a caller that bounds them itself) and, with nonnegative, >= 0."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged sequence
+        raise error(f"{name} must be an array of integers or floats, not ragged") from None
+    if a.dtype.kind not in "iuf":
+        raise error(f"{name} must be an array of integers or floats, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
+    if finite and not np.isfinite(a).all() or nonnegative and (a < 0).any():
+        raise error(f"{name} must be finite{' and nonnegative' if nonnegative else ''}")
+    return a
+
+
+def check_sequence(name: str, x, error: type) -> tuple:
+    """x as a tuple; raise error unless it is iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {type(x).__name__}") from None

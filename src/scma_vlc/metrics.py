@@ -23,7 +23,8 @@ from math import inf, log
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, UnsupportedError, check_integer, check_real
+from .errors import CapacityError, DimensionError, DomainError, UnsupportedError
+from .errors import check_array, check_integer, check_real
 from .model import DEFAULT_MAX_POINTS, Codebook, CodebookSet
 from .model import SuperConstellation, point_digits, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
@@ -247,6 +248,14 @@ def _gather_distances(tables, pair_flats, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _codeword_pair(s_i, s_j) -> tuple[np.ndarray, np.ndarray]:
+    """Two superimposed codewords as float arrays of finite, nonnegative intensities."""
+    s_i, s_j = (check_array("codewords", s, DomainError, nonnegative=True) for s in (s_i, s_j))
+    if s_i.shape != s_j.shape:
+        raise DomainError("points must have equal length")
+    return s_i, s_j
+
+
 def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     """Rotated squared distance between two superimposed codewords.
 
@@ -255,14 +264,7 @@ def red(s_i: np.ndarray, s_j: np.ndarray, varsigma2: float) -> float:
     the plain squared Euclidean distance.
     """
     check_real("varsigma2", varsigma2, DomainError, least=0)
-    s_i = np.asarray(s_i, dtype=float)
-    s_j = np.asarray(s_j, dtype=float)
-    if s_i.shape != s_j.shape:
-        raise DomainError("points must have equal length")
-    if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
-        raise DomainError("superimposed codewords must be finite")
-    if np.any(s_i < 0) or np.any(s_j < 0):
-        raise DomainError("superimposed codewords must be componentwise nonnegative")
+    s_i, s_j = _codeword_pair(s_i, s_j)
     g = np.sqrt((varsigma2 * s_i + 1.0) * (varsigma2 * s_j + 1.0))
     d = s_i - s_j
     return float(np.sum(d * d / g))
@@ -281,14 +283,14 @@ def pairwise_report(
     check_real("varsigma2", varsigma2, DomainError, least=0)
     if bins is not None:
         check_integer("bins", bins, DomainError, least=1)
-    points = np.asarray(constellation.points, dtype=float)
+    points = check_array("points", constellation.points, DomainError, nonnegative=True)
+    if points.ndim != 2:
+        raise DimensionError("the points must be a (P, K) array")
     P = len(points)
     if P > DEFAULT_MAX_POINTS:
         raise CapacityError(f"{P} points exceed the limit {DEFAULT_MAX_POINTS}")
     if P < 2:
         raise DomainError("a distance report needs at least two points")
-    if not np.isfinite(points).all() or np.any(points < 0):
-        raise DomainError("superimposed codewords must be finite and nonnegative")
     tables, pair_flats = [], []
     for column in points.T:
         v, a = np.unique(column, return_inverse=True)

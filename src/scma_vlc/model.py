@@ -17,7 +17,8 @@ from math import comb, log2
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError, check_integer, check_real
+from .errors import CapacityError, DimensionError, DomainError
+from .errors import check_array, check_integer, check_real, check_sequence
 
 # Cap on the superimposed-constellation size (4^6).
 DEFAULT_MAX_POINTS = 4096
@@ -111,17 +112,17 @@ class MappingMatrix:
 
 @dataclass(frozen=True)
 class Codebook:
-    """N x M constellation matrix of one user (nonnegative optical intensities)."""
+    """N x M constellation matrix of one user (nonnegative intensities), stored as floats."""
 
     C: np.ndarray
     user_index: int
 
     def __post_init__(self):
         check_integer("user_index", self.user_index, DimensionError, least=1)
-        if not np.isfinite(self.C).all():
-            raise DomainError("codebook entries must be finite")
-        if np.any(self.C < 0):
-            raise DomainError("codebook entries must be nonnegative")
+        C = check_array("codebook entries", self.C, DomainError, nonnegative=True)
+        if C.ndim != 2:
+            raise DimensionError("a codebook must be an N x M matrix")
+        object.__setattr__(self, "C", C)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class CodebookSet:
 
     gains[j] holds user j+1's gain on each of the K resources (ones by
     default). Raises DimensionError for a shape that does not fit params and
-    DomainError for a non-finite or negative gain.
+    DomainError for a gain that is not a finite, nonnegative number.
     """
 
     params: SystemParams
@@ -152,14 +153,11 @@ class CodebookSet:
                 raise DimensionError(
                     f"book {j + 1} must be {p.N} x {p.M} with user_index {j + 1}"
                 )
-        if self.gains is None:
-            gains = tuple(np.ones(p.K) for _ in range(p.J))
-        else:
-            gains = tuple(np.asarray(g, dtype=float) for g in self.gains)
+        gains = np.ones((p.J, p.K)) if self.gains is None else self.gains
+        gains = tuple(check_array("channel gains", g, DomainError, nonnegative=True)
+                      for g in check_sequence("gains", gains, DimensionError))
         if len(gains) != p.J or any(g.shape != (p.K,) for g in gains):
             raise DimensionError(f"need J={p.J} gain vectors of shape ({p.K},)")
-        if not all(np.isfinite(g).all() and (g >= 0).all() for g in gains):
-            raise DomainError("channel gains must be finite and nonnegative")
         object.__setattr__(self, "gains", gains)
         # Every consumer reads a user's resources in ascending order, so the
         # mapping must be the one the graph gives, not only the same support.
@@ -505,10 +503,7 @@ def codebook_set_from_constellations(
     """Assemble a CodebookSet from N x M constellation matrices (default graph)."""
     graph = build_factor_graph(params.K, params.J, params.N)
     mappings = tuple(mapping_from_graph(graph, j) for j in range(1, params.J + 1))
-    books = tuple(
-        Codebook(C=np.asarray(c, dtype=float), user_index=j + 1)
-        for j, c in enumerate(constellations)
-    )
+    books = tuple(Codebook(C=c, user_index=j + 1) for j, c in enumerate(constellations))
     return CodebookSet(
         params=params, graph=graph, mappings=mappings, books=books, gains=gains
     )

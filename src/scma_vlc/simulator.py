@@ -10,7 +10,8 @@ import numpy as np
 from .decoder import DEFAULT_ITERS, _build_tables, _Workspace, max_log_mpa_batch
 from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, DimensionError, DomainError
-from .errors import check_integer, check_real
+from .errors import check_array, check_integer, check_real, check_sequence
+from .metrics import _codeword_pair
 from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
 from .model import label_table, pair_state_plan, resource_layout
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
@@ -102,18 +103,19 @@ def add_idgn(
     continue an already-open generator instead of restarting the stream.
     With `out`, a C-contiguous float array of the shape of s that does not
     overlap it, the samples are written there and out is returned; they are
-    the same floats as without it. Raises DomainError for a negative, NaN
-    or infinite intensity, a sigma2 that is not finite and > 0 or a
-    varsigma2 that is not finite and >= 0, and DimensionError for an out of
-    another shape or one that overlaps s.
+    the same floats as without it. Raises DomainError for an s that is not
+    an array of integers or floats, a negative, NaN or infinite intensity, a
+    sigma2 that is not finite and > 0 or a varsigma2 that is not finite and
+    >= 0, and DimensionError for any other out.
     """
     check_real("sigma2", sigma2, DomainError, above=0)
     check_real("varsigma2", varsigma2, DomainError, least=0)
-    s = np.asarray(s, dtype=float)
+    s = check_array("signal intensities", s, DomainError, finite=False)
     if out is None:
         out = np.empty(s.shape)
-    elif out.shape != s.shape or np.may_share_memory(out, s):
-        raise DimensionError(f"out must be an array of the shape {s.shape} of s, apart from s")
+    elif not (isinstance(out, np.ndarray) and out.dtype == float and out.flags.c_contiguous
+              and out.shape == s.shape) or np.may_share_memory(out, s):
+        raise DimensionError(f"out must be a C-contiguous float array of shape {s.shape}, not s")
     # sqrt is NaN for a negative or NaN entry and inf for +inf, so one
     # maximum over the roots checks every entry.
     with np.errstate(invalid="ignore"):
@@ -141,14 +143,7 @@ def pep_idgn(s_i: np.ndarray, s_j: np.ndarray, sigma2: float, varsigma2: float) 
     """
     check_real("sigma2", sigma2, DomainError, above=0)
     check_real("varsigma2", varsigma2, DomainError, least=0)
-    s_i = np.asarray(s_i, dtype=float)
-    s_j = np.asarray(s_j, dtype=float)
-    if s_i.shape != s_j.shape:
-        raise DomainError("points must have equal length")
-    if not (np.isfinite(s_i).all() and np.isfinite(s_j).all()):
-        raise DomainError("superimposed codewords must be finite")
-    if np.any(s_i < 0) or np.any(s_j < 0):
-        raise DomainError("superimposed codewords must be nonnegative")
+    s_i, s_j = _codeword_pair(s_i, s_j)
     nu = varsigma2 * sigma2 * s_i + sigma2
     arg = np.sqrt(np.sum((s_i - s_j) ** 2 / (2.0 * nu)))
     return float(qfunc(arg))
@@ -378,7 +373,7 @@ def sweep(
     mode='scale' rescales cb_set to each power level; mode='redesign' runs the
     designer afresh at each level using design_params/design_config.
     """
-    pe_list = list(pe_list)
+    pe_list = check_sequence("pe_list", pe_list, ConfigError)
     if not pe_list:
         raise ConfigError("pe_list must be nonempty")
     for pe in pe_list:

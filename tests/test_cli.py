@@ -83,6 +83,14 @@ class TestAnalyzeCommand:
         assert len(expected) == 2016
         assert rows[1:] == expected
 
+    def test_failure_writes_no_artifact(self, fixture_file, tmp_path, capsys):
+        # The ellipses fail at confidence 1.5: neither CSV nor a manifest is written.
+        pairs, ellipses = tmp_path / "p.csv", tmp_path / "e.csv"
+        assert main(["analyze", "--cb", str(fixture_file), "--confidence", "1.5",
+                     "--pairs-csv", str(pairs), "--ellipses-csv", str(ellipses)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ls-j3.scma"]
+
     @pytest.mark.parametrize("varsigma2", ["nan", "inf", "-1"])
     def test_bad_varsigma2_is_usage_error(self, fixture_file, capsys, varsigma2):
         assert main(["analyze", "--cb", str(fixture_file), "--varsigma2", varsigma2]) == 2
@@ -187,6 +195,14 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as e:
             main(["simulate"])
         assert e.value.code == 2
+
+    def test_codebook_and_spec_together_are_usage_error(self, fixture_file, tmp_path):
+        out = tmp_path / "ber.csv"
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--cb", str(fixture_file), "--design-spec",
+                  str(tmp_path / "absent.json"), "--out", str(out)])
+        assert e.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", [
         '{"Pe": 5}',       # no J

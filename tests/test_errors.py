@@ -8,13 +8,23 @@ raises a ScmaVlcError, except the 1-based indices of codeword and
 mapping_from_graph, which raise IndexError. The same calls succeed with numpy
 scalars.
 
-Not in the table: the result records (BerPoint, DecoderState, DesignResult,
+The array and sequence arguments have a table of their own (ARRAY_CASES):
+codewords, codebooks, gains, points and received vectors, max_log_mpa_batch
+and loglik_table included, and the power levels and beta schedule. Their bad
+values are a string, None (where it is not documented), a bool array, a
+ragged list, a NaN, +-inf or (where entries are >= 0) negative entry, and a
+wrong number of dimensions or length; each raises a ScmaVlcError. Lists and
+integer arrays, and an empty (0, K) batch, are accepted.
+
+Not in the tables: the result records (BerPoint, DecoderState, DesignResult,
 DistanceReport, EpdEllipse, OpCounts, SuperConstellation) and StackedVector,
-which the package builds; array arguments and the bool flags, which take
-arrays and bools; and file paths, whose errors are OSError. qfunc is an
-array function, so only its non-numeric input is here.
+which the package builds; MappingMatrix, which CodebookSet compares with the
+graph's mapping; the bool flags; and file paths, whose errors are OSError.
+qfunc is an array function that takes bools, so only its non-numeric input
+is here.
 """
 
+from dataclasses import replace
 from math import inf, nan
 
 import numpy as np
@@ -22,12 +32,13 @@ import pytest
 
 import scma_vlc
 from scma_vlc import (
-    Codebook, DesignConfig, SystemParams, TrialStream, add_idgn,
-    build_factor_graph, codeword, enumerate_superimposed, epd_ellipses, load_fixture,
-    logsumexp_gradient, logsumexp_objective, mapping_from_graph, max_log_mpa, mpa_linear,
-    op_counts, pairwise_report, pep_idgn, qfunc, random_init, red, scale_codebook_set,
-    simulate_ber, stack_codebook_set, sweep,
+    Codebook, CodebookSet, DesignConfig, SystemParams, TrialStream, add_idgn,
+    build_factor_graph, codeword, enumerate_superimposed, epd_ellipses, joint_map_bruteforce,
+    load_fixture, logsumexp_gradient, logsumexp_objective, mapping_from_graph, max_log_mpa,
+    mpa_linear, op_counts, pairwise_report, pep_idgn, qfunc, random_init, red,
+    scale_codebook_set, simulate_ber, stack_codebook_set, sweep,
 )
+from scma_vlc.decoder import loglik_table, max_log_mpa_batch
 from scma_vlc.errors import ScmaVlcError
 
 LS3 = load_fixture("ls-j3")
@@ -190,3 +201,104 @@ def test_table_covers_every_public_callable_with_scalar_input():
     }
     tabled = {name.split(".")[0] for name, *_ in CASES}
     assert tabled | no_scalars == set(scma_vlc.__all__)
+
+
+def _entries(good, nonnegative=True):
+    """Bad values of an array argument whose valid value is good.
+
+    A string, None, a bool array, a ragged list, and good with a NaN, +inf,
+    -inf or (with nonnegative) a negative first entry.
+    """
+    good = np.asarray(good, dtype=float)
+    ragged = good.tolist()
+    ragged[0] = [ragged[0], ragged[0]]
+
+    def first(v):
+        x = good.copy()
+        x.flat[0] = v
+        return x
+
+    return (["a", None, good.astype(bool), ragged, first(nan), first(inf), first(-inf)]
+            + ([first(-1.0)] if nonnegative else []))
+
+
+def _shapes(good):
+    """good with one more dimension and with its last axis one shorter."""
+    good = np.asarray(good, dtype=float)
+    return [good[None], good[..., :-1]]
+
+
+K = LS3.params.K
+Y = POINTS.points[:3] + 0.5
+BOOK = LS3.books[0].C
+ONES = np.ones(K)
+
+
+def _set_with_gains(gains):
+    return CodebookSet(LS3.params, LS3.graph, LS3.mappings, LS3.books, gains=gains)
+
+
+# (public name, argument, call(value), bad values, valid values)
+ARRAY_CASES = [
+    ("red", "s_i", lambda v: red(v, S_J, 5.0), _entries(S_I) + _shapes(S_I),
+     [S_I.tolist(), S_I.astype(int)]),
+    ("red", "s_j", lambda v: red(S_I, v, 5.0), _entries(S_J) + _shapes(S_J),
+     [S_J.tolist(), S_J.astype(int)]),
+    ("pep_idgn", "s_i", lambda v: pep_idgn(v, S_J, 0.01, 5.0), _entries(S_I) + _shapes(S_I),
+     [S_I.tolist(), S_I.astype(int)]),
+    ("pep_idgn", "s_j", lambda v: pep_idgn(S_I, v, 0.01, 5.0), _entries(S_J) + _shapes(S_J),
+     [S_J.tolist(), S_J.astype(int)]),
+    ("pairwise_report", "points",
+     lambda v: pairwise_report(replace(POINTS, points=v), 5.0),
+     _entries(POINTS.points) + [POINTS.points[None], POINTS.points[0]],
+     [POINTS.points.tolist(), POINTS.points.astype(int)]),
+    ("Codebook", "C", lambda v: Codebook(C=v, user_index=1),
+     _entries(BOOK) + [BOOK[None], BOOK[0]], [BOOK.tolist(), BOOK.astype(int)]),
+    ("CodebookSet", "gains", _set_with_gains,
+     [5, "a", (ONES,) * 2, (ONES,) * 4, (ONES[:-1], ONES, ONES), (ONES[None], ONES, ONES)]
+     + [(bad, ONES, ONES) for bad in _entries(ONES)],
+     [[[1.0] * K] * 3, np.ones((3, K), dtype=int), (ONES, ONES.tolist(), ONES.astype(int))]),
+    ("add_idgn", "s", lambda v: add_idgn(v, 0.01, 5.0, TrialStream(0)), _entries(S_I),
+     [S_I.tolist(), S_I.astype(int), POINTS.points]),
+    ("add_idgn", "out", lambda v: add_idgn(S_I, 0.01, 5.0, TrialStream(0), out=v),
+     ["a", S_I.tolist(), np.empty(K, dtype=int), np.empty(K + 1), np.empty((K, 2))[:, 0],
+      S_I], [np.empty(K)]),
+    ("max_log_mpa", "y", lambda v: max_log_mpa(v, LS3),
+     _entries(Y[0], nonnegative=False) + _shapes(Y[0]) + [3.0, np.ones((K, K))],
+     [Y[0].tolist(), np.zeros(K, dtype=int), -Y[0]]),
+    ("mpa_linear", "y", lambda v: mpa_linear(v, LS3),
+     _entries(Y[0], nonnegative=False) + _shapes(Y[0]) + [3.0, np.ones((K, K))],
+     [Y[0].tolist(), np.zeros(K, dtype=int)]),
+    ("joint_map_bruteforce", "y", lambda v: joint_map_bruteforce(v, LS3),
+     _entries(Y[0], nonnegative=False) + _shapes(Y[0]) + [3.0, np.ones((K, K))],
+     [Y[0].tolist(), np.zeros(K, dtype=int)]),
+    ("max_log_mpa_batch", "Y", lambda v: max_log_mpa_batch(v, LS3),
+     _entries(Y, nonnegative=False) + _shapes(Y) + [np.ones((2, K, K))],
+     [Y.tolist(), np.zeros((2, K), dtype=int), Y[0], np.empty((0, K))]),
+    ("loglik_table", "Y", lambda v: loglik_table(v, LS3),
+     _entries(Y, nonnegative=False) + _shapes(Y) + [np.ones((2, K, K))],
+     [Y.tolist(), np.zeros((2, K), dtype=int), np.empty((0, K))]),
+    ("sweep", "pe_list", lambda v: sweep(v, cb_set=LS3, **RUN),
+     [5, None, np.float64(8.0), "a", [True], [[8.0]], [nan]],
+     [[8], (4.0, 8.0), np.array([8.0]), range(4, 9, 4)]),
+    ("DesignConfig", "beta_schedule", lambda v: DesignConfig(beta_schedule=v),
+     [5, None, np.float64(1.0), "a", (True, 2.0), [[1.0]], [1.0, inf]],
+     [[1, 2], np.array([1.0, 2.0]), range(1, 4)]),
+]
+
+
+def _array_rows(pick):
+    for name, arg, call, bads, goods in ARRAY_CASES:
+        for i, value in enumerate(pick(bads, goods)):
+            yield pytest.param(call, value, id=f"{name}-{arg}-{i}")
+
+
+@pytest.mark.parametrize("call,value", _array_rows(lambda bads, goods: bads))
+def test_bad_array_raises_package_error(call, value):
+    with pytest.raises(ScmaVlcError):
+        call(value)
+
+
+@pytest.mark.parametrize("call,value", _array_rows(lambda bads, goods: goods))
+def test_list_and_integer_arrays_are_accepted(call, value):
+    call(value)
