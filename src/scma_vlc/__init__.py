@@ -6,6 +6,7 @@ from .decoder import (
     joint_map_bruteforce,
     max_log_mpa,
     mpa_linear,
+    mpa_linear_batch,
     op_counts,
 )
 from .designer import DesignConfig, DesignResult, design, project_feasible, random_init
@@ -57,8 +58,9 @@ __all__ = [
     "build_factor_graph", "codeword", "design", "enumerate_superimposed",
     "epd_ellipses", "fixture_names", "joint_map_bruteforce",
     "load_codebook_set", "load_fixture", "logsumexp_gradient",
-    "logsumexp_objective", "mapping_from_graph", "max_log_mpa", "mpa_linear",
-    "op_counts", "pairwise_report", "pep_idgn", "power", "project_feasible",
-    "qfunc", "random_init", "red", "save_codebook_set", "scale_codebook_set",
-    "simulate_ber", "stack_codebook_set", "sweep",
+    "logsumexp_objective", "mapping_from_graph", "max_log_mpa",
+    "mpa_linear", "mpa_linear_batch", "op_counts", "pairwise_report",
+    "pep_idgn", "power", "project_feasible", "qfunc", "random_init", "red",
+    "save_codebook_set", "scale_codebook_set", "simulate_ber",
+    "stack_codebook_set", "sweep",
 ]

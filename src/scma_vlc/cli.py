@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .decoder import DEFAULT_ITERS, graph_op_counts, max_log_mpa_batch
+from .decoder import DEFAULT_ITERS, graph_op_counts, max_log_mpa_batch, mpa_linear_batch
 from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, json_field, load_codebook_set, save_codebook_set
@@ -176,9 +176,11 @@ def _cmd_decode(args) -> int:
         if not args.input:
             return EXIT_OK
     Y = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    _, llrs, hard, _, _ = max_log_mpa_batch(
-        Y, cb_set, args.iters, include_logdet=args.logdet
-    )
+    if args.variant == "mpa":
+        _, llrs, hard, _, _ = mpa_linear_batch(Y, cb_set, args.iters)
+    else:
+        _, llrs, hard, _, _ = max_log_mpa_batch(Y, cb_set, args.iters,
+                                                include_logdet=args.logdet)
     b = p.bits_per_symbol
     header = ["frame"]
     for j in range(1, p.J + 1):
@@ -265,6 +267,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _add_sources(parser) -> None:
+    """--cb and --design-spec, mutually exclusive.
+
+    Not required: main asks for one, so parse_args(["simulate"]) reads defaults.
+    """
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--cb")
+    source.add_argument("--design-spec")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scma-vlc",
@@ -306,16 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--input")
     de.add_argument("--out", default="decoded.csv")
     de.add_argument("--iters", type=int, default=DEFAULT_ITERS)
-    de.add_argument("--logdet", action="store_true")
+    de.add_argument("--logdet", action="store_true",
+                    help="add the log-determinant to Max-Log's metric (implied for mpa)")
     de.add_argument("--counts", action="store_true")
-    de.add_argument("--variant", choices=["mpa", "max_log"], default="max_log")
+    de.add_argument("--variant", choices=["mpa", "max_log"], default="max_log",
+                    help="sum-product (mpa) or Max-Log detection, for --input and --counts")
     de.set_defaults(func=_cmd_decode)
 
     si = sub.add_parser("simulate", help="Monte Carlo BER at one power level")
-    # Exclusive but not required: main asks for one, so parse_args(["simulate"]) reads defaults.
-    source = si.add_mutually_exclusive_group()
-    source.add_argument("--cb")
-    source.add_argument("--design-spec")
+    _add_sources(si)
     si.add_argument("--seed", type=int, default=_default(simulate_ber, "seed"))
     si.add_argument("--min-errors", type=int, default=DEFAULT_MIN_BIT_ERRORS)
     si.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
@@ -324,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.set_defaults(func=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="BER sweep across power levels")
-    sw.add_argument("--cb")
-    sw.add_argument("--design-spec")
+    _add_sources(sw)
     sw.add_argument("--pe-list", required=True)
     sw.add_argument("--mode", choices=["scale", "redesign"], default=_default(sweep, "mode"))
     sw.add_argument("--seed", type=int, default=_default(sweep, "seed"))
@@ -347,8 +357,6 @@ def main(argv=None) -> int:
         ap.error("need --cb or --design-spec")
     if args.command == "decode" and not (args.input or args.counts):
         ap.error("need --input (or --counts)")
-    if args.command == "decode" and args.input and args.variant == "mpa":
-        ap.error("--variant mpa applies to --counts only: --input decodes with Max-Log")
     try:
         return args.func(args)
     except ConvergenceError as e:

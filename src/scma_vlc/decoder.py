@@ -10,12 +10,13 @@ message meets its axis of the metric by reshape. A resource update
 marginalizes one neighbour axis at a time, right after adding that
 neighbour's message, and shares the reduced prefix between positions; with
 ``max`` each message is the same float as one joint max over the other axes.
-The public batch function takes frames on axis 0; the single-vector
-functions wrap a batch of one. A simulation decodes all its blocks in one
-workspace, whose messages are one tile wide, and reads only the hard
-decisions. Each resource's users, superimposed values and
-combination order come from model.resource_layout, shared with the designer
-and the union bound.
+Each tile ends with its bit decisions (and, for a public call, its LLRs),
+so every decode takes the same path. The public batch functions take frames
+on axis 0; the single-vector functions wrap a batch of one. A simulation
+decodes all its blocks in one workspace, whose messages are one tile wide,
+and reads only the hard decisions. Each resource's users, superimposed
+values and combination order come from model.resource_layout, shared with
+the designer and the union bound.
 
 The kernel gives the result of flooding for the requested iterations, but
 runs a static schedule of only the messages that result reads: a message
@@ -273,40 +274,55 @@ def _rn_update(metric, views, edges, wanted, rn, sums, prefixes, reduce):
                         rn[edges[j + 1]] if n == 2 else prefixes[n - 1])
 
 
+def _page_aligned(shape) -> np.ndarray:
+    """An uninitialized float array of shape whose data starts on a 4096-byte page.
+
+    The tile scratch is allocated per buffer this way so that the buffers'
+    offsets, and with them the cache sets they share, do not depend on what
+    the process allocated before.
+    """
+    n = 8 * int(np.prod(shape))
+    raw = np.empty(n + 4096, dtype=np.uint8)
+    start = -raw.ctypes.data % 4096
+    return raw[start:start + n].view(np.float64).reshape(shape)
+
+
 class _Workspace:
     """Buffers of the kernel for calls of up to `frames` frames with one tables.
 
-    The scratch is one tile wide: the tile's received values frames last,
-    the per-resource metrics and, per count n of symbol axes, an extrinsic
-    sum and a prefix. With keep, the messages (E, M, frames) and beliefs
-    (J, M, frames) span all frames, as the public decoders return them.
-    Without it they are one tile wide and reused from tile to tile, and each
-    tile's hard decisions go to hard (frames, J, b): simulate_ber builds one
-    such workspace per run and reads only the hard bits.
+    The scratch is one tile wide and page-aligned: the tile's received values
+    frames last, the per-resource metrics and, per count n of symbol axes, an
+    extrinsic sum and a prefix; beside it the tile's per-bit belief maxima.
+    Each tile's hard decisions go to hard (frames, J, b). With keep, the
+    messages (E, M, frames), beliefs (J, M, frames) and LLRs (frames, J, b)
+    span all frames, as the public decoders return them. Without it the
+    messages and beliefs are one tile wide and reused from tile to tile and
+    no LLRs are kept: simulate_ber builds one such workspace per run and
+    reads only the hard bits.
     """
 
     def __init__(self, tables: _Tables, frames: int, keep: bool):
         p = tables.params
         M, J, E = p.M, p.J, len(tables.edges)
+        b = tables.labels.shape[1]
         self.keep = keep
         self.tile = max(1, _TILE_BYTES // (8 * max(v.size for v in tables.values)))
         width = min(self.tile, frames)
         span = frames if keep else width
         d_max = max(len(es) for es in tables.rn_edges)
-        self.yt = np.empty((p.K, width))
-        self.metrics = [np.empty((v.size, width)) for v in tables.values]
-        self.sums = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max + 1)}
-        self.prefixes = {n: np.empty((M,) * n + (width,)) for n in range(2, d_max)}
+        self.yt = _page_aligned((p.K, width))
+        self.metrics = [_page_aligned((v.size, width)) for v in tables.values]
+        self.sums = {n: _page_aligned((M,) * n + (width,)) for n in range(2, d_max + 1)}
+        self.prefixes = {n: _page_aligned((M,) * n + (width,)) for n in range(2, d_max)}
         # With n_iters >= 1 every RN message is written in every tile before
-        # it is read (the output reads each one), so only the n_iters = 0
-        # of mpa_linear, which keeps all frames, reads these zeros.
+        # it is read (the output reads each one), so only a sum-product
+        # decode at n_iters = 0, which keeps all frames, reads these zeros.
         self.rn = np.zeros((E, M, span))
         self.vn = np.empty((E, M, span))
         self.beliefs = np.empty((J, M, span))
-        if not keep:
-            b = tables.labels.shape[1]
-            self.max0, self.max1 = np.empty((2, J, b, width))
-            self.hard = np.empty((frames, J, b), dtype=bool)
+        self.max0, self.max1 = np.empty((2, J, b, width))
+        self.hard = np.empty((frames, J, b), dtype=bool)
+        self.llrs = np.empty((frames, J, b)) if keep else None
 
 
 def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=False,
@@ -331,10 +347,12 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
 
     Frames are independent, so the iterations run over frame tiles sized so
     that the widest resource's metric fills _TILE_BYTES, with the scratch
-    of a _Workspace reused across tiles and iterations: a fresh one that
-    keeps all frames, or work, a simulation's, whose messages and beliefs
-    are one tile wide. Then each tile's hard decisions go to work.hard, and
-    the arrays returned hold the last tile only.
+    of a _Workspace reused across tiles and iterations: work, or a fresh one
+    that keeps all frames. Every tile ends alike: its beliefs are summed
+    (and, for sum-product, normalized per frame), its hard decisions go to
+    work.hard and, when work keeps all frames, its LLRs to work.llrs. A
+    simulation's work keeps one tile, and the arrays returned hold the last
+    tile only.
     """
     p = tables.params
     M, T = p.M, Y.shape[0]
@@ -375,11 +393,18 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
         for j, es in enumerate(tables.vn_edges):
             for e in es:
                 beliefs[j] += rn[e]
-        if not work.keep:
-            # max0 <= max1 is llr <= 0, the bit _outputs decides.
-            max0, max1 = work.max0[..., :t], work.max1[..., :t]
-            _bit_maxima(beliefs, tables.labels, max0, max1)
-            np.less_equal(max0, max1, out=work.hard[lo:lo + t].transpose(1, 2, 0))
+        if reduce is _logsumexp_reduce:
+            # Normalized log posteriors. Shift first: the largest belief
+            # becomes exactly 0, so the log-sum-exp of the result is 0 to
+            # rounding even for huge |beliefs|.
+            beliefs -= beliefs.max(axis=1, keepdims=True)
+            beliefs -= np.log(np.exp(beliefs).sum(axis=1, keepdims=True))
+        # LLR = max0 - max1, and a tie (max0 <= max1, llr <= 0) decides bit 1.
+        max0, max1 = work.max0[..., :t], work.max1[..., :t]
+        _bit_maxima(beliefs, tables.labels, max0, max1)
+        np.less_equal(max0, max1, out=work.hard[lo:lo + t].transpose(1, 2, 0))
+        if work.keep:
+            np.subtract(max0, max1, out=work.llrs[lo:lo + t].transpose(1, 2, 0))
     return work.beliefs, work.rn, work.vn
 
 
@@ -399,24 +424,18 @@ def _bit_maxima(beliefs, labels, max0, max1):
                 np.maximum(out, beliefs[:, m], out=out)
 
 
-def _outputs(beliefs, rn, vn, tables):
-    """Frames-first (beliefs, llrs, hard bits, messages) from the kernel's arrays.
+def _outputs(work: _Workspace, tables: _Tables):
+    """Frames-first (beliefs, llrs, hard bits, messages) of a workspace that keeps all frames.
 
-    LLR = max belief over bit-0 symbols minus max over bit-1 symbols; an LLR
-    tie decides bit 1. Messages are returned as (k, j) -> (T, M) views.
+    The LLRs and hard bits are those the tile loop wrote; messages are
+    returned as (k, j) -> (T, M) views.
     """
-    J, _, T = beliefs.shape
-    b = tables.labels.shape[1]
-    max0, max1 = np.empty((2, J, b, T))
-    _bit_maxima(beliefs, tables.labels, max0, max1)
-    llrs = np.empty((T, J, b))
-    np.subtract(max0, max1, out=llrs.transpose(1, 2, 0))
-    hard = (llrs <= 0).astype(np.uint8)
     messages = (
-        {edge: rn[e].T for e, edge in enumerate(tables.edges)},
-        {edge: vn[e].T for e, edge in enumerate(tables.edges)},
+        {edge: work.rn[e].T for e, edge in enumerate(tables.edges)},
+        {edge: work.vn[e].T for e, edge in enumerate(tables.edges)},
     )
-    return np.ascontiguousarray(beliefs.transpose(2, 0, 1)), llrs, hard, messages
+    beliefs = np.ascontiguousarray(work.beliefs.transpose(2, 0, 1))
+    return beliefs, work.llrs, work.hard.view(np.uint8), messages
 
 
 def max_log_mpa_batch(
@@ -446,11 +465,13 @@ def max_log_mpa_batch(
     if tables is None:
         tables = _build_tables(cb_set)
     counts = graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None
-    if tables.work is not None:
-        _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn, tables.work)
-        return None, None, tables.work.hard[:len(Y)], None, counts
-    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn)
-    return (*_outputs(beliefs, rn, vn, tables), counts)
+    work = tables.work
+    if work is None:
+        work = _Workspace(tables, len(Y), keep=True)
+    _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn, work)
+    if not work.keep:
+        return None, None, work.hard[:len(Y)], None, counts
+    return (*_outputs(work, tables), counts)
 
 
 def _single_state(beliefs, llrs, hard, messages, counts) -> DecoderState:
@@ -486,28 +507,37 @@ def max_log_mpa(
     return _single_state(*out)
 
 
+def mpa_linear_batch(Y: np.ndarray, cb_set: CodebookSet, n_iters: int):
+    """Sum-product decoding of a batch with the full IDGN Gaussian likelihood.
+
+    Runs the shared log-domain kernel with the log-sum-exp marginalizer and
+    Max-Log's schedule: the same result as n_iters iterations (0 leaves the
+    beliefs uniform). The beliefs are normalized log posteriors, so no belief
+    can underflow to all-zero. Returns max_log_mpa_batch's (beliefs, llrs,
+    hard bits, messages, None); each frame's result is that of mpa_linear.
+    Y is checked by _received; raises DomainError unless n_iters is an
+    integer >= 0.
+    """
+    Y = _received(Y, cb_set.params)
+    check_integer("n_iters", n_iters, DomainError, least=0)
+    tables = _build_tables(cb_set)
+    work = _Workspace(tables, len(Y), keep=True)
+    _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True, work=work)
+    return (*_outputs(work, tables), None)
+
+
 def mpa_linear(
     y: np.ndarray,
     cb_set: CodebookSet,
     n_iters: int = DEFAULT_ITERS,
 ) -> DecoderState:
-    """Sum-product decoding with the full IDGN Gaussian likelihood.
+    """Decode one received vector with sum-product message passing (mpa_linear_batch).
 
-    Runs the shared log-domain kernel with the log-sum-exp marginalizer and
-    Max-Log's schedule: the same result as n_iters iterations (0 leaves the
-    beliefs uniform). The beliefs are normalized log posteriors, so no belief
-    can underflow to all-zero. Despite the name, it runs in the log domain.
-    Takes one received vector; a (T, K) batch raises DimensionError.
+    Despite the name, it runs in the log domain. Takes one received vector;
+    a (T, K) batch raises DimensionError.
     """
     Y = _received(y, cb_set.params, single=True)
-    check_integer("n_iters", n_iters, DomainError, least=0)
-    tables = _build_tables(cb_set)
-    beliefs, rn, vn = _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True)
-    # Shift before normalizing: the largest belief becomes exactly 0, so the
-    # log-sum-exp of the result is 0 to rounding even for huge |beliefs|.
-    beliefs -= beliefs.max(axis=1, keepdims=True)
-    beliefs -= np.log(np.exp(beliefs).sum(axis=1, keepdims=True))
-    return _single_state(*_outputs(beliefs, rn, vn, tables), None)
+    return _single_state(*mpa_linear_batch(Y, cb_set, n_iters))
 
 
 def loglik_table(Y: np.ndarray, cb_set: CodebookSet) -> tuple[np.ndarray, object]:

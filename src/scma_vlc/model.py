@@ -112,7 +112,11 @@ class MappingMatrix:
 
 @dataclass(frozen=True)
 class Codebook:
-    """N x M constellation matrix of one user (nonnegative intensities), stored as floats."""
+    """N x M constellation matrix of one user (nonnegative intensities).
+
+    Stored as a read-only float copy, so no later edit of the caller's array,
+    or of C, gets past the checks.
+    """
 
     C: np.ndarray
     user_index: int
@@ -122,6 +126,8 @@ class Codebook:
         C = check_array("codebook entries", self.C, DomainError, nonnegative=True)
         if C.ndim != 2:
             raise DimensionError("a codebook must be an N x M matrix")
+        C = C.copy()
+        C.flags.writeable = False
         object.__setattr__(self, "C", C)
 
 

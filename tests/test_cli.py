@@ -5,7 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from scma_vlc import cli, enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, red
+from scma_vlc import (
+    cli, enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, mpa_linear, red,
+)
 from scma_vlc.cli import main
 
 
@@ -165,18 +167,33 @@ class TestDecodeCommand:
             main(["decode", "--cb", str(fixture_file)])
         assert e.value.code == 2
 
-    def test_mpa_variant_with_input_is_usage_error(self, fixture_file, tmp_path, capsys):
-        # --variant reaches only the operation counts; the decode runs Max-Log.
+    def test_mpa_variant_decodes_with_sum_product(self, tmp_path):
+        # A noisy ls-j4 file: the --variant mpa rows are those of per-frame
+        # mpa_linear, as repr floats, and not the Max-Log rows.
+        cb_path = tmp_path / "ls-j4.scma"
+        assert main(["fixtures", "export", "ls-j4", "--out", str(cb_path)]) == 0
+        cb = load_codebook_set(cb_path)
+        points = enumerate_superimposed(cb).points
+        rng = np.random.default_rng(3)
         inp = tmp_path / "rx.csv"
-        np.savetxt(inp, enumerate_superimposed(load_fixture("ls-j3")).points[:2], delimiter=",")
-        out = tmp_path / "decoded.csv"
-        for extra in ([], ["--counts"]):
-            with pytest.raises(SystemExit) as e:
-                main(["decode", "--cb", str(fixture_file), "--input", str(inp),
-                      "--out", str(out), "--variant", "mpa", *extra])
-            assert e.value.code == 2
-            assert "--variant mpa" in capsys.readouterr().err
-        assert not out.exists()
+        np.savetxt(inp, points[rng.integers(0, len(points), 20)]
+                   + 0.3 * rng.standard_normal((20, cb.params.K)), delimiter=",")
+        rows = {}
+        for variant in ("mpa", "max_log"):
+            out = tmp_path / f"{variant}.csv"
+            assert main(["decode", "--cb", str(cb_path), "--input", str(inp),
+                         "--out", str(out), "--variant", variant]) == 0
+            rows[variant] = list(csv.reader(out.open()))[1:]
+        Y = np.loadtxt(inp, delimiter=",")
+        assert len(rows["mpa"]) == len(Y)
+        for t, row in enumerate(rows["mpa"]):
+            state = mpa_linear(Y[t], cb)
+            want = [str(t + 1)]
+            for j in range(cb.params.J):
+                want.append("".join(str(int(v)) for v in state.hard_bits[j]))
+                want += [repr(float(v)) for v in state.llrs[j]]
+            assert row == want
+        assert rows["mpa"] != rows["max_log"]
 
 
 class TestSimulateCommand:
@@ -254,6 +271,16 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert "PCG64" in manifest["generator"]
         assert not (tmp_path / "sweep.csv.meta.json").exists()
+
+    def test_codebook_and_spec_together_are_usage_error(self, fixture_file, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"J": 4}')
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--cb", str(fixture_file), "--design-spec", str(spec),
+                  "--pe-list", "4", "--out", str(out)])
+        assert e.value.code == 2
+        assert not out.exists()
 
     def test_bad_pe_list_is_usage_error(self, fixture_file, tmp_path):
         rc = main(["sweep", "--cb", str(fixture_file), "--pe-list", "6,4",

@@ -661,6 +661,29 @@ class TestLogDomainSumProduct:
             np.testing.assert_allclose(lse, 0.0, atol=1e-12)
 
 
+class TestSumProductBatch:
+    # 300 frames in tiles of 97, the last one of 9: each frame's beliefs,
+    # LLRs, hard bits and messages are those of mpa_linear on that frame.
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j6"])
+    def test_bitwise_equal_per_frame_mpa_linear(self, name, monkeypatch):
+        cb = _golden_set(name)
+        widest = max(cb.params.M ** d for d in cb.graph.df_per_rn)
+        monkeypatch.setattr(decoder, "_TILE_BYTES", 97 * 8 * widest)
+        Y = _noisy_vectors(cb, 300, seed=23)
+        for n_iters in (1, 6):
+            beliefs, llrs, hard, (rn, vn), counts = decoder.mpa_linear_batch(Y, cb, n_iters)
+            assert counts is None and hard.dtype == np.uint8
+            for t, y in enumerate(Y):
+                want = mpa_linear(y, cb, n_iters)
+                np.testing.assert_array_equal(beliefs[t], want.beliefs)
+                np.testing.assert_array_equal(llrs[t], want.llrs)
+                np.testing.assert_array_equal(hard[t], want.hard_bits)
+                for got_msgs, want_msgs in ((rn, want.rn_to_vn), (vn, want.vn_to_rn)):
+                    assert len(got_msgs) == len(want_msgs)
+                    for (k, j), v in got_msgs.items():
+                        np.testing.assert_array_equal(v[t], want_msgs[k + 1, j + 1])
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_entry_point_rejects(self, ls_j3, bad):

@@ -35,7 +35,7 @@ from scma_vlc import (
     Codebook, CodebookSet, DesignConfig, SystemParams, TrialStream, add_idgn,
     build_factor_graph, codeword, enumerate_superimposed, epd_ellipses, joint_map_bruteforce,
     load_fixture, logsumexp_gradient, logsumexp_objective, mapping_from_graph, max_log_mpa,
-    mpa_linear, op_counts, pairwise_report, pep_idgn, qfunc, random_init, red,
+    mpa_linear, mpa_linear_batch, op_counts, pairwise_report, pep_idgn, qfunc, random_init, red,
     scale_codebook_set, simulate_ber, stack_codebook_set, sweep,
 )
 from scma_vlc.decoder import loglik_table, max_log_mpa_batch
@@ -123,6 +123,8 @@ CASES = [
      np.int64(2)),
     ("max_log_mpa", "n_iters", lambda v: max_log_mpa(S_I, LS3, v), _integer(1), np.int64(2)),
     ("mpa_linear", "n_iters", lambda v: mpa_linear(S_I, LS3, v), _integer(0), np.int64(2)),
+    ("mpa_linear_batch", "n_iters", lambda v: mpa_linear_batch(POINTS.points[:2], LS3, v),
+     _integer(0), np.int64(2)),
     ("op_counts", "M", lambda v: op_counts(v, 2, 4, 6, "max_log"), _integer(1), np.int64(4)),
     ("op_counts", "d_f", lambda v: op_counts(4, v, 4, 6, "max_log"), _integer(1),
      np.int64(2)),
@@ -273,6 +275,9 @@ ARRAY_CASES = [
      _entries(Y[0], nonnegative=False) + _shapes(Y[0]) + [3.0, np.ones((K, K))],
      [Y[0].tolist(), np.zeros(K, dtype=int)]),
     ("max_log_mpa_batch", "Y", lambda v: max_log_mpa_batch(v, LS3),
+     _entries(Y, nonnegative=False) + _shapes(Y) + [np.ones((2, K, K))],
+     [Y.tolist(), np.zeros((2, K), dtype=int), Y[0], np.empty((0, K))]),
+    ("mpa_linear_batch", "Y", lambda v: mpa_linear_batch(v, LS3, 2),
      _entries(Y, nonnegative=False) + _shapes(Y) + [np.ones((2, K, K))],
      [Y.tolist(), np.zeros((2, K), dtype=int), Y[0], np.empty((0, K))]),
     ("loglik_table", "Y", lambda v: loglik_table(v, LS3),

@@ -275,6 +275,14 @@ class TestCodebookEntries:
         with pytest.raises(DomainError):
             Codebook(C=C, user_index=1)
 
+    def test_keeps_a_read_only_copy(self):
+        C = np.ones((2, 4))
+        book = Codebook(C=C, user_index=1)
+        C[0, 0] = -1.0
+        np.testing.assert_array_equal(book.C, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            book.C[0, 0] = np.nan
+
 
 class TestCodebookSetChecks:
     def test_too_few_books(self, ls_j3):
