@@ -168,6 +168,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decode(args) -> int:
     started = _now()
+    if args.variant == "mpa":
+        args.logdet = True  # sum-product always decodes with the exact likelihood
     cb_path = Path(args.cb)
     cb_set = load_codebook_set(cb_path)
     p = cb_set.params

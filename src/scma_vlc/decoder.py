@@ -91,10 +91,11 @@ class _Tables:
     rho2: list[np.ndarray]                # per RN, (M^d,)
     neg_2rho2: list[np.ndarray]           # per RN, (M^d, 1) -2 rho2, the metric's divisor
     labels: np.ndarray                    # (M, b) natural-binary label of each symbol
+    bit_syms: tuple                       # per bit, (symbols with it 0, symbols with it 1)
     rn_final: np.ndarray                  # (E,) iteration after which each RN message is final
     vn_final: np.ndarray                  # (E,) the same for each VN message
     settle: int | None                    # iterations until every message is final
-    # (n_iters, steps) of the last _schedule call; replace() starts it afresh.
+    # (n_iters, (prior, steps)) of the last _schedule call; replace() starts it afresh.
     schedule: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # A simulation's workspace; with it max_log_mpa_batch returns hard bits only.
     work: _Workspace | None = field(default=None, init=False, repr=False, compare=False)
@@ -123,14 +124,17 @@ def _build_tables(cb_set: CodebookSet) -> _Tables:
         for es in vn_edges:
             vn_t[es] = [max((rn_t[r] for r in es if r != e), default=0) for e in es]
     settle = int(rn_t.max()) if np.isfinite(rn_t).all() else None
+    labels = label_table(p.M)
+    bit_syms = tuple((tuple(np.flatnonzero(column == 0)), tuple(np.flatnonzero(column)))
+                     for column in labels.T)
     return _Tables(
         params=p, layout=layout, edges=edges, rn_edges=rn_edges, vn_edges=vn_edges,
         values=values, rho2=rho2, neg_2rho2=[-2.0 * r2[:, None] for r2 in rho2],
-        labels=label_table(p.M), rn_final=rn_t, vn_final=vn_t, settle=settle,
+        labels=labels, bit_syms=bit_syms, rn_final=rn_t, vn_final=vn_t, settle=settle,
     )
 
 
-def _schedule(tables: _Tables, n_iters: int) -> list:
+def _schedule(tables: _Tables, n_iters: int) -> tuple:
     """The messages that n_iters flooding iterations need, iteration by iteration.
 
     A message's value at iteration i is its value at min(i, its final
@@ -143,11 +147,13 @@ def _schedule(tables: _Tables, n_iters: int) -> list:
     float for float. With settle None, as on a graph with a cycle, no
     message counts as final and every message runs in every iteration.
 
-    Returns one (rn_steps, vn_steps) per iteration: rn_steps holds (k,
-    wanted neighbour positions) for each resource with a needed message,
-    vn_steps (e, the RN edges its message sums) for each needed VN message.
-    The last result is kept on tables, so a caller that decodes many blocks
-    with one tables builds it once.
+    Returns (prior, steps). prior lists the VN messages needed at iteration
+    0, read as the prior or returned unwritten, the only ones a tile must
+    start at the prior. steps holds one (rn_steps, vn_steps) per iteration:
+    rn_steps holds (k, wanted neighbour positions) for each resource with a
+    needed message, vn_steps (e, the RN edges its message sums) for each
+    needed VN message. The last result is kept on tables, so a caller that
+    decodes many blocks with one tables builds it once.
     """
     if tables.schedule[0] == n_iters:
         return tables.schedule[1]
@@ -177,8 +183,8 @@ def _schedule(tables: _Tables, n_iters: int) -> list:
         vn_steps = [(e, [r for r in es if r != e])
                     for es in tables.vn_edges for e in es if e in vn_need[i]]
         steps.append(([(k, w) for k, w in rn_steps if w], vn_steps))
-    tables.schedule = (n_iters, steps)
-    return steps
+    tables.schedule = (n_iters, (sorted(vn_need[0]), steps))
+    return tables.schedule[1]
 
 
 def _received(Y, p, single: bool = False) -> np.ndarray:
@@ -292,13 +298,20 @@ class _Workspace:
 
     The scratch is one tile wide and page-aligned: the tile's received values
     frames last, the per-resource metrics and, per count n of symbol axes, an
-    extrinsic sum and a prefix; beside it the tile's per-bit belief maxima.
-    Each tile's hard decisions go to hard (frames, J, b). With keep, the
+    extrinsic sum and a prefix. The tile's per-bit belief maxima reuse the
+    widest metric's scratch where its rows suffice (on ls-j3, 2 J b = 12 of
+    16). Each tile's hard decisions go to hard (frames, J, b). With keep, the
     messages (E, M, frames), beliefs (J, M, frames) and LLRs (frames, J, b)
     span all frames, as the public decoders return them. Without it the
     messages and beliefs are one tile wide and reused from tile to tile and
     no LLRs are kept: simulate_ber builds one such workspace per run and
     reads only the hard bits.
+
+    A tile sets up its messages in one pass: it fills only the VN messages
+    that the schedule reads at iteration 0 or returns unwritten (its
+    prior) with the log prior, and every VN message and belief that sums
+    RN messages starts with one np.add of the first of them and the prior
+    (_add_messages), in place of a fill and an add.
     """
 
     def __init__(self, tables: _Tables, frames: int, keep: bool):
@@ -320,7 +333,11 @@ class _Workspace:
         self.rn = np.zeros((E, M, span))
         self.vn = np.empty((E, M, span))
         self.beliefs = np.empty((J, M, span))
-        self.max0, self.max1 = np.empty((2, J, b, width))
+        # A tile's per-bit maxima are written after its last read of the
+        # metrics, so they take the widest metric's rows where those suffice.
+        widest = max(self.metrics, key=len)
+        maxima = widest[:2 * J * b] if len(widest) >= 2 * J * b else np.empty((2 * J * b, width))
+        self.max0, self.max1 = maxima.reshape(2, J, b, width)
         self.hard = np.empty((frames, J, b), dtype=bool)
         self.llrs = np.empty((frames, J, b)) if keep else None
 
@@ -356,7 +373,7 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
     """
     p = tables.params
     M, T = p.M, Y.shape[0]
-    steps = _schedule(tables, n_iters)
+    prior, steps = _schedule(tables, n_iters)
     log_prior = -np.log(M)
     if work is None:
         work = _Workspace(tables, T, keep=True)
@@ -365,7 +382,8 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
         t = min(work.tile, T - lo)
         frames = slice(lo, lo + t) if work.keep else slice(0, t)
         rn, vn = work.rn[:, :, frames], work.vn[:, :, frames]
-        vn.fill(log_prior)
+        for e in prior:
+            vn[e].fill(log_prior)
         yt = work.yt[:, :t]
         np.copyto(yt, Y[lo:lo + t].T)
         metrics = _rn_metrics(yt, tables, include_logdet, force_awgn,
@@ -384,15 +402,11 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
                            reduce)
             # VN updates from the just-computed RN messages.
             for e, others in vn_steps:
-                vn[e].fill(log_prior)
-                for r in others:
-                    vn[e] += rn[r]
+                _add_messages(vn[e], log_prior, rn, others)
 
         beliefs = work.beliefs[:, :, frames]
-        beliefs.fill(log_prior)
         for j, es in enumerate(tables.vn_edges):
-            for e in es:
-                beliefs[j] += rn[e]
+            _add_messages(beliefs[j], log_prior, rn, es)
         if reduce is _logsumexp_reduce:
             # Normalized log posteriors. Shift first: the largest belief
             # becomes exactly 0, so the log-sum-exp of the result is 0 to
@@ -401,23 +415,38 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
             beliefs -= np.log(np.exp(beliefs).sum(axis=1, keepdims=True))
         # LLR = max0 - max1, and a tie (max0 <= max1, llr <= 0) decides bit 1.
         max0, max1 = work.max0[..., :t], work.max1[..., :t]
-        _bit_maxima(beliefs, tables.labels, max0, max1)
+        _bit_maxima(beliefs, tables.bit_syms, max0, max1)
         np.less_equal(max0, max1, out=work.hard[lo:lo + t].transpose(1, 2, 0))
         if work.keep:
             np.subtract(max0, max1, out=work.llrs[lo:lo + t].transpose(1, 2, 0))
     return work.beliefs, work.rn, work.vn
 
 
-def _bit_maxima(beliefs, labels, max0, max1):
+def _add_messages(out, log_prior, rn, edges):
+    """out = log_prior + rn[edges[0]] + rn[edges[1]] + ..., added in that order.
+
+    The first sum is one np.add into out, the same float as a fill with
+    log_prior and then +=, since IEEE addition is commutative; with no
+    edges out is the prior.
+    """
+    if not edges:
+        out.fill(log_prior)
+        return
+    np.add(rn[edges[0]], log_prior, out=out)
+    for e in edges[1:]:
+        out += rn[e]
+
+
+def _bit_maxima(beliefs, bit_syms, max0, max1):
     """Per-bit belief maxima of (J, M, t) beliefs into (J, b, t) max0 and max1.
 
-    max0[:, i] is the largest belief over the symbols whose bit i is 0,
-    max1[:, i] over those whose bit i is 1: np.maximum over one symbol's
-    slice at a time, the same floats as a max over the gathered symbols.
+    max0[:, i] is the largest belief over the symbols bit_syms[i][0], whose
+    bit i is 0, max1[:, i] over bit_syms[i][1], those whose bit i is 1:
+    np.maximum over one symbol's slice at a time, the same floats as a max
+    over the gathered symbols.
     """
-    for i, column in enumerate(labels.T):
-        for out, syms in ((max0[:, i], np.flatnonzero(column == 0)),
-                          (max1[:, i], np.flatnonzero(column))):
+    for i, sides in enumerate(bit_syms):
+        for out, syms in zip((max0[:, i], max1[:, i]), sides):
             # The first and last symbols first (the same one if there is one).
             np.maximum(beliefs[:, syms[0]], beliefs[:, syms[-1]], out=out)
             for m in syms[1:-1]:

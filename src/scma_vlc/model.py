@@ -211,7 +211,8 @@ class ResourceLayout:
         """Combination index of each row of (T, J) 0-based symbol digits."""
         q = np.zeros(len(digits), dtype=np.int64)
         for j in self.users:
-            q = q * self.M + digits[:, j]
+            q *= self.M
+            q += digits[:, j]
         return q
 
     def pair_states(self, table: np.ndarray) -> np.ndarray:

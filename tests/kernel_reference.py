@@ -87,8 +87,10 @@ def _shifted_exp(d, beta):
     return np.exp(out, out=out)
 
 
-def reference_objective(x, beta, varsigma2):
-    d = reference_distances(x, varsigma2)
+def reference_objective(x, beta, varsigma2, d=None):
+    """The objective; d, x's reference distances at varsigma2, saves recomputing them."""
+    if d is None:
+        d = reference_distances(x, varsigma2)
     return float(np.log(np.sum(_shifted_exp(d, beta))) / beta - d.min())
 
 
@@ -101,8 +103,11 @@ def _bin_pairs(flat, w, n_bins):
     return W
 
 
-def reference_gradient(x, beta, varsigma2):
-    w = _shifted_exp(reference_distances(x, varsigma2), beta)
+def reference_gradient(x, beta, varsigma2, d=None):
+    """The gradient; d as for reference_objective."""
+    if d is None:
+        d = reference_distances(x, varsigma2)
+    w = _shifted_exp(d, beta)
     w /= w.sum()
     cols, weights = [], []
     for r, flat in zip(x.layout, x.pair_flat):

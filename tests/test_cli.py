@@ -195,6 +195,22 @@ class TestDecodeCommand:
             assert row == want
         assert rows["mpa"] != rows["max_log"]
 
+    def test_mpa_manifest_records_the_logdet_it_decodes_with(self, fixture_file, tmp_path):
+        # Sum-product always uses the exact likelihood, so --logdet changes
+        # neither the rows nor the configuration the manifest records.
+        inp, out = tmp_path / "rx.csv", tmp_path / "mpa.csv"
+        np.savetxt(inp, np.random.default_rng(5).uniform(0.0, 3.0, (10, 4)), delimiter=",")
+        runs = []
+        for flags in ([], ["--logdet"]):
+            assert main(["decode", "--cb", str(fixture_file), "--input", str(inp),
+                         "--out", str(out), "--variant", "mpa", *flags]) == 0
+            manifest = json.loads((tmp_path / "mpa.csv.manifest.json").read_text())
+            runs.append((out.read_bytes(), manifest["config"]))
+        (rows, config), (rows_logdet, config_logdet) = runs
+        assert config["logdet"] is True
+        assert config == config_logdet
+        assert rows == rows_logdet
+
 
 class TestSimulateCommand:
     def test_writes_csv_and_manifest(self, fixture_file, tmp_path):
@@ -207,6 +223,15 @@ class TestSimulateCommand:
         assert float(rows[0]["ber_sim"]) >= 0
         manifest = json.loads((tmp_path / "ber.csv.manifest.json").read_text())
         assert str(fixture_file) in manifest["input_digests"]
+
+    def test_every_cell_parses_as_a_number(self, fixture_file, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert main(["simulate", "--cb", str(fixture_file), "--max-frames", "8192",
+                     "--out", str(out)]) == 0
+        header, *rows = csv.reader(out.open())
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+        for name, cell in zip(header, rows[0]):
+            (int if name in ("bits_sent", "bit_errors") else float)(cell)
 
     def test_needs_codebook_or_spec(self):
         with pytest.raises(SystemExit) as e:

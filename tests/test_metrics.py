@@ -38,12 +38,23 @@ def _pair_distances(points, varsigma2, ii, jj):
     return np.sum(diff * diff / np.sqrt(g[ii] * g[jj]), axis=1)
 
 
+# Reference distances by (points, varsigma2), computed once per session: at
+# ls-j6 one takes over a second, and two tests read the same ones.
+_REFERENCE_DISTANCES = {}
+
+
 def _reference_distances(points, varsigma2):
-    ii, jj = np.triu_indices(len(points), k=1)
-    return np.concatenate([
-        _pair_distances(points, varsigma2, ii[lo:lo + _PAIR_CHUNK], jj[lo:lo + _PAIR_CHUNK])
-        for lo in range(0, len(ii), _PAIR_CHUNK)
-    ])
+    """The pairwise reference distances of points, read-only."""
+    key = (points.shape, points.tobytes(), varsigma2)
+    if key not in _REFERENCE_DISTANCES:
+        ii, jj = np.triu_indices(len(points), k=1)
+        d = np.concatenate([
+            _pair_distances(points, varsigma2, ii[lo:lo + _PAIR_CHUNK], jj[lo:lo + _PAIR_CHUNK])
+            for lo in range(0, len(ii), _PAIR_CHUNK)
+        ])
+        d.flags.writeable = False
+        _REFERENCE_DISTANCES[key] = d
+    return _REFERENCE_DISTANCES[key]
 
 
 def _constellation(points):
@@ -423,13 +434,15 @@ class TestReferenceKernel:
     def test_bitwise_equal(self, name, varsigma2):
         cb = load_fixture(name)
         sv, ref = stack_codebook_set(cb), reference_stack(cb)
-        np.testing.assert_array_equal(sv.distances(varsigma2),
-                                      reference_distances(ref, varsigma2))
+        # One read-only copy of the reference distances serves every beta.
+        d = reference_distances(ref, varsigma2)
+        d.flags.writeable = False
+        np.testing.assert_array_equal(sv.distances(varsigma2), d)
         for beta in (1.0, 10.0, 30.0):
             assert logsumexp_objective(sv, beta, varsigma2) == reference_objective(
-                ref, beta, varsigma2)
+                ref, beta, varsigma2, d)
             np.testing.assert_array_equal(logsumexp_gradient(sv, beta, varsigma2),
-                                          reference_gradient(ref, beta, varsigma2))
+                                          reference_gradient(ref, beta, varsigma2, d))
 
     @pytest.mark.parametrize("J, K", [(3, 4), (5, 5), (2, 5)])
     def test_bitwise_equal_random_sets(self, J, K):

@@ -524,6 +524,23 @@ class TestSimulateBer:
         # Aggregate BER is the mean of the per-user BERs.
         assert abs(pt.per_user_ber.mean() - pt.ber_sim) < 1e-12
 
+    # Two blocks and a ragged one, with and without the union bound.
+    @pytest.mark.parametrize("compute_analytical", [True, False])
+    def test_scalar_fields_are_python_numbers(self, ls_j3, compute_analytical):
+        pt = simulate_ber(scale_codebook_set(ls_j3, 5.0), min_bit_errors=None,
+                          max_frames=2 * simulator._FRAME_BLOCK + 100,
+                          compute_analytical=compute_analytical)
+        assert pt.bit_errors > 0
+        _assert_python_scalars(pt)
+
+
+def _assert_python_scalars(point):
+    """BerPoint's counts are Python ints and its rates Python floats, so their
+    repr in a CSV is a plain number (numpy 2's repr of np.float64(x) is not)."""
+    assert type(point.bits_sent) is int and type(point.bit_errors) is int
+    for rate in (point.ber_sim, point.ber_analytical, point.ci95_halfwidth):
+        assert type(rate) is float
+
 
 def _fresh_block_ber(cb_set, n_iters=6, min_bit_errors=None, max_frames=None, seed=0):
     """(pe, bits_sent, bit_errors, ber_sim, ci95_halfwidth, per_user_ber) of
@@ -703,3 +720,9 @@ class TestSweep:
         pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=50, max_frames=50_000)
         assert [p.pe for p in pts] == [4.0, 6.0]
         assert pts[0].ber_sim >= pts[1].ber_sim
+
+    def test_points_have_python_scalar_fields(self, ls_j3):
+        pts = sweep([4.0, 6.0], cb_set=ls_j3, min_bit_errors=None, max_frames=5000)
+        for pt in pts:
+            assert pt.bit_errors > 0
+            _assert_python_scalars(pt)
