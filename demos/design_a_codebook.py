@@ -27,8 +27,8 @@ result = design(params, config)
 print(f"done in {result.wall_time:.1f}s, d_min = {result.final_d_min:.4f}")
 print(f"active constraints: {result.active_constraints}")
 
-for book in result.set.books:
-    print(f"\nuser {book.user_index} constellation "
+for user, book in enumerate(result.set.books, start=1):
+    print(f"\nuser {user} constellation "
           f"(power {power(book):.3f}):")
     print(np.array2string(book.C, precision=4, suppress_small=True))
 

@@ -27,7 +27,6 @@ from .model import (
     Codebook,
     CodebookSet,
     FactorGraph,
-    MappingMatrix,
     SuperConstellation,
     SystemParams,
     build_factor_graph,
@@ -53,8 +52,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BerPoint", "Codebook", "CodebookSet", "DecoderState", "DesignConfig",
     "DesignResult", "DistanceReport", "EpdEllipse", "FactorGraph",
-    "MappingMatrix", "OpCounts", "StackedVector", "SuperConstellation",
-    "SystemParams", "TrialStream", "add_idgn", "analytical_ber",
+    "OpCounts", "StackedVector", "SuperConstellation", "SystemParams",
+    "TrialStream", "add_idgn", "analytical_ber",
     "build_factor_graph", "codeword", "design", "enumerate_superimposed",
     "epd_ellipses", "fixture_names", "joint_map_bruteforce",
     "load_codebook_set", "load_fixture", "logsumexp_gradient",

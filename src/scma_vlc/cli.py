@@ -152,9 +152,9 @@ def _cmd_analyze(args) -> int:
                           ([i, j, repr(x)] for (i, j), x in zip(pairs, d))))
     if args.ellipses_csv:
         rows = []
-        for book in cb_set.books:
+        for user, book in enumerate(cb_set.books, start=1):
             ellipses = epd_ellipses(book, cb_set.params.sigma2, vs2, confidence=args.confidence)
-            rows += [[book.user_index, m, *(repr(float(v)) for v in (*e.center, *e.semi_axes))]
+            rows += [[user, m, *(repr(float(v)) for v in (*e.center, *e.semi_axes))]
                      for m, e in enumerate(ellipses, start=1)]
         artifacts.append((args.ellipses_csv,
                           ["user", "point", "center_1", "center_2", "a_1", "a_2"], rows))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, check_integer, check_real
-from .model import Codebook, CodebookSet, FactorGraph, SystemParams, mapping_from_graph
+from .model import Codebook, CodebookSet, FactorGraph, SystemParams
 
 FORMAT_VERSION = 1
 LABELING = "natural-binary"
@@ -104,11 +104,7 @@ def loads_codebook_set(text: str) -> CodebookSet:
     if any(C.shape != (params.N, params.M) for C in books):
         raise ConfigError("constellation block has wrong shape")
 
-    mappings = tuple(mapping_from_graph(graph, j) for j in range(1, params.J + 1))
-    return CodebookSet(
-        params=params, graph=graph, mappings=mappings,
-        books=tuple(Codebook(C=c, user_index=j + 1) for j, c in enumerate(books)),
-    )
+    return CodebookSet(params=params, graph=graph, books=tuple(Codebook(C=c) for c in books))
 
 
 def save_codebook_set(cb_set: CodebookSet, path: str | Path) -> None:

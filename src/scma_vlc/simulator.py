@@ -13,7 +13,8 @@ from .errors import CapacityError, ConfigError, DimensionError, DomainError
 from .errors import check_array, check_integer, check_real, check_sequence
 from .metrics import _codeword_pair
 from .model import DEFAULT_MAX_POINTS, CodebookSet, SystemParams, scale_codebook_set
-from .model import label_table, pair_state_plan, resource_layout
+from .model import label_table, resource_layout
+from .pairstate import pair_state_plan, pair_states
 from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 DEFAULT_MIN_BIT_ERRORS = 200
@@ -205,11 +206,12 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     How many of the 153 nodes run depends on the book. The nodes run in
     order of ascending c, in batches of at most _BOUND_BYTES and
     _BOUND_NODES nodes. Along that order no factor entry grows, so neither
-    does a node's value; a node at which the flush leaves every factor
-    diagonal adds exactly 0 and is not run, and the loop stops after a
-    batch once the nodes left can add at most _BOUND_STOP of the total (at
-    Pe 20 and varsigma2 5, ls-j6 runs 84 nodes and ls-j5 90). Raises
-    CapacityError when M^J exceeds DEFAULT_MAX_POINTS.
+    does a node's value, and the loop stops after a batch once the nodes
+    left can add at most _BOUND_STOP of the total (at Pe 20 and varsigma2 5,
+    ls-j6 runs 84 nodes and ls-j5 90). A batch whose last node the flush
+    takes to exactly 0 stops it too, so a bound that underflows returns 0
+    after one batch. Raises CapacityError when M^J exceeds
+    DEFAULT_MAX_POINTS.
     """
     p = cb_set.params
     if p.M**p.J > DEFAULT_MAX_POINTS:
@@ -218,26 +220,18 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     # A resource no user reaches has the factor 1.
     layout = [r for r in layout if r.users]
     tables = []
-    gap = np.inf  # the least T_k over the a != b entries of any resource
     for r in layout:
         v = r.values(L)
         nu = p.varsigma2 * p.sigma2 * v + p.sigma2
         diff = v[:, None] - v[None, :]
         t = diff * diff / (2.0 * nu[:, None])
-        gap = min(gap, t[~np.eye(len(v), dtype=bool)].min())
-        tables.append(r.pair_states(t))
+        tables.append(pair_states(t, p.M, len(r.users)))
     labels = label_table(p.M)
     weight = np.sum(labels[:, None] != labels[None, :], axis=2).reshape(-1).astype(float)
     S = p.M * p.M
     plan = pair_state_plan(tuple(r.users for r in layout), S)
     shift = _SHIFT / len(layout)
     c, w = _craig_nodes()
-    # Where c T_k > shift + 360 on every a != b entry, the flush leaves each
-    # factor diagonal: every pair with a differing user has product 0, so
-    # the node adds exactly 0 and is skipped. c ascends, so the skipped
-    # nodes are the table's tail.
-    keep = c * gap <= shift + 360.0
-    c, w = c[keep], w[keep]
     rest = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # rest[i]: the weight from node i on
     step = max(1, min(_BOUND_NODES, _BOUND_BYTES // plan.node_bytes))
     total = 0.0

@@ -41,8 +41,7 @@ def with_params(cb_set, **overrides):
                   varsigma2=p.varsigma2, Pe=p.Pe)
     fields.update(overrides)
     return CodebookSet(params=SystemParams(**fields), graph=cb_set.graph,
-                       mappings=cb_set.mappings, books=cb_set.books,
-                       gains=cb_set.gains)
+                       books=cb_set.books, gains=cb_set.gains)
 
 
 class TestCriterion1FixtureFidelity:

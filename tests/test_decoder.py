@@ -31,8 +31,7 @@ def with_varsigma2(cb_set, varsigma2):
     params = SystemParams(J=p.J, K=p.K, M=p.M, N=p.N,
                           sigma2=p.sigma2, varsigma2=varsigma2, Pe=p.Pe)
     return CodebookSet(params=params, graph=cb_set.graph,
-                       mappings=cb_set.mappings, books=cb_set.books,
-                       gains=cb_set.gains)
+                       books=cb_set.books, gains=cb_set.gains)
 
 
 class TestNoiseFree:

@@ -18,8 +18,9 @@ integer arrays, and an empty (0, K) batch, are accepted.
 
 Not in the tables: the result records (BerPoint, DecoderState, DesignResult,
 DistanceReport, EpdEllipse, OpCounts, SuperConstellation) and StackedVector,
-which the package builds; MappingMatrix, which CodebookSet compares with the
-graph's mapping; the bool flags; and file paths, whose errors are OSError.
+which the package builds; the mapping matrices, which mapping_from_graph
+derives from the graph; the bool flags; and file paths, whose errors are
+OSError.
 qfunc is an array function that takes bools, so only its non-numeric input
 is here.
 """
@@ -74,8 +75,6 @@ CASES = [
      np.float64(5.0)),
     ("SystemParams", "Pe", lambda v: SystemParams(J=3, Pe=v), _real(0.0, -1.0),
      np.float64(8.0)),
-    ("Codebook", "user_index", lambda v: Codebook(C=np.ones((2, 4)), user_index=v),
-     _integer(1), np.int64(1)),
     ("DesignConfig", "beta_schedule", lambda v: DesignConfig(beta_schedule=(v,)),
      _real(0.0, -1.0), np.float64(8.0)),
     ("DesignConfig", "starts", lambda v: DesignConfig(starts=v), _integer(1), np.int64(2)),
@@ -195,8 +194,8 @@ def test_table_covers_every_public_callable_with_scalar_input():
     # Names of scma_vlc.__all__ whose inputs are arrays, package objects or
     # paths only, or which are result records the package builds.
     no_scalars = {
-        "BerPoint", "CodebookSet", "DecoderState", "DesignResult", "DistanceReport",
-        "EpdEllipse", "FactorGraph", "MappingMatrix", "OpCounts", "StackedVector",
+        "BerPoint", "Codebook", "CodebookSet", "DecoderState", "DesignResult",
+        "DistanceReport", "EpdEllipse", "FactorGraph", "OpCounts", "StackedVector",
         "SuperConstellation", "analytical_ber", "design", "enumerate_superimposed",
         "fixture_names", "joint_map_bruteforce", "load_codebook_set", "power",
         "project_feasible", "save_codebook_set", "stack_codebook_set",
@@ -237,7 +236,7 @@ ONES = np.ones(K)
 
 
 def _set_with_gains(gains):
-    return CodebookSet(LS3.params, LS3.graph, LS3.mappings, LS3.books, gains=gains)
+    return CodebookSet(LS3.params, LS3.graph, LS3.books, gains=gains)
 
 
 # (public name, argument, call(value), bad values, valid values)
@@ -254,7 +253,7 @@ ARRAY_CASES = [
      lambda v: pairwise_report(replace(POINTS, points=v), 5.0),
      _entries(POINTS.points) + [POINTS.points[None], POINTS.points[0]],
      [POINTS.points.tolist(), POINTS.points.astype(int)]),
-    ("Codebook", "C", lambda v: Codebook(C=v, user_index=1),
+    ("Codebook", "C", lambda v: Codebook(C=v),
      _entries(BOOK) + [BOOK[None], BOOK[0]], [BOOK.tolist(), BOOK.astype(int)]),
     ("CodebookSet", "gains", _set_with_gains,
      [5, "a", (ONES,) * 2, (ONES,) * 4, (ONES[:-1], ONES, ONES), (ONES[None], ONES, ONES)]

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scma_vlc import fixture_names, load_codebook_set, load_fixture, save_codebook_set
+from scma_vlc import codeword, fixture_names, load_codebook_set, load_fixture, save_codebook_set
 from scma_vlc.errors import ConfigError, DimensionError, DomainError
 from scma_vlc.fileio import dumps_codebook_set, loads_codebook_set
 
@@ -196,3 +196,10 @@ class TestNonCanonicalGraph:
         back = loads_codebook_set("\n".join(lines) + "\n")
         assert tuple(back.graph.vn_neighbors[0]) == tuple(ls_j3.graph.vn_neighbors[1])
         assert tuple(back.graph.vn_neighbors[1]) == tuple(ls_j3.graph.vn_neighbors[0])
+        # User 1's codeword lands on the file's own column-1 resources, in
+        # ascending order, not on the default graph's.
+        ks = [k for k in range(4) if graph[k][0] == "1"]
+        assert ks == [k - 1 for k in ls_j3.graph.vn_neighbors[1]]
+        want = np.zeros(4)
+        want[ks] = back.books[0].C[:, 1]
+        np.testing.assert_array_equal(codeword(back, 1, 2), want)

@@ -482,7 +482,7 @@ class TestEpdEllipses:
     def test_requires_2d(self):
         from scma_vlc.model import Codebook
 
-        book = Codebook(C=np.ones((3, 4)), user_index=1)
+        book = Codebook(C=np.ones((3, 4)))
         with pytest.raises(UnsupportedError):
             epd_ellipses(book, 0.01, 5.0)
 

@@ -21,8 +21,7 @@ from scma_vlc import (
 )
 from scma_vlc.decoder import _build_tables
 from scma_vlc.errors import CapacityError, DimensionError, DomainError
-from scma_vlc.model import Codebook, MappingMatrix, bit_label, label_table, resource_layout
-from scma_vlc.model import pair_state_plan
+from scma_vlc.model import Codebook, bit_label, label_table, resource_layout
 
 from conftest import random_codebook_set
 
@@ -128,7 +127,7 @@ class TestMapping:
     def test_selects_support_rows(self):
         g = build_factor_graph(4, 3, 2)
         for j in range(1, 4):
-            V = mapping_from_graph(g, j).V
+            V = mapping_from_graph(g, j)
             assert V.shape == (4, 2)
             assert np.array_equal(np.diag(V @ V.T), g.F[:, j - 1])
 
@@ -136,15 +135,6 @@ class TestMapping:
         g = build_factor_graph(4, 3, 2)
         with pytest.raises(IndexError):
             mapping_from_graph(g, 4)
-
-    def test_swapped_columns_rejected(self, ls_j3):
-        # Same support, resources in descending order: codeword() would read
-        # the rows swapped while every other consumer reads them ascending.
-        V = ls_j3.mappings[0].V
-        assert np.array_equal(np.diag(V @ V.T), np.diag(V[:, ::-1] @ V[:, ::-1].T))
-        mappings = (MappingMatrix(V=V[:, ::-1]),) + ls_j3.mappings[1:]
-        with pytest.raises(DimensionError):
-            replace(ls_j3, mappings=mappings)
 
 
 class TestCodeword:
@@ -273,11 +263,11 @@ class TestCodebookEntries:
         C = np.ones((2, 4))
         C[1, 2] = bad
         with pytest.raises(DomainError):
-            Codebook(C=C, user_index=1)
+            Codebook(C=C)
 
     def test_keeps_a_read_only_copy(self):
         C = np.ones((2, 4))
-        book = Codebook(C=C, user_index=1)
+        book = Codebook(C=C)
         C[0, 0] = -1.0
         np.testing.assert_array_equal(book.C, np.ones((2, 4)))
         with pytest.raises(ValueError):
@@ -290,18 +280,13 @@ class TestCodebookSetChecks:
             replace(ls_j3, books=ls_j3.books[:2])
 
     def test_too_many_books(self, ls_j3):
-        extra = Codebook(C=np.ones((2, 4)), user_index=4)
+        extra = Codebook(C=np.ones((2, 4)))
         with pytest.raises(DimensionError):
             replace(ls_j3, books=ls_j3.books + (extra,))
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3)])
     def test_book_shape(self, ls_j3, shape):
-        books = (Codebook(C=np.ones(shape), user_index=1),) + ls_j3.books[1:]
-        with pytest.raises(DimensionError):
-            replace(ls_j3, books=books)
-
-    def test_book_user_index(self, ls_j3):
-        books = (ls_j3.books[1], ls_j3.books[0], ls_j3.books[2])
+        books = (Codebook(C=np.ones(shape)),) + ls_j3.books[1:]
         with pytest.raises(DimensionError):
             replace(ls_j3, books=books)
 
@@ -356,7 +341,8 @@ def _user_table_superposition(cb_set, syms):
     p = cb_set.params
     s = np.zeros((len(syms), p.K))
     for j in range(p.J):
-        table = (np.diag(cb_set.gains[j]) @ cb_set.mappings[j].V @ cb_set.books[j].C).T
+        V = mapping_from_graph(cb_set.graph, j + 1)
+        table = (np.diag(cb_set.gains[j]) @ V @ cb_set.books[j].C).T
         s += table[syms[:, j]]
     return s
 
@@ -426,32 +412,3 @@ class TestSharedLayout:
             assert table.dtype == np.uint8
             for m in range(1, (1 << bits) + 1):
                 assert int("".join(str(v) for v in table[m - 1]), 2) == m - 1
-
-
-class TestPairStatePlan:
-    """The pair-state contraction against an explicit sum over all P^2 ordered pairs."""
-
-    @pytest.mark.parametrize("cb", [
-        load_fixture("ls-j3"), load_fixture("ls-j4"), random_codebook_set(5, seed=3, K=5),
-    ], ids=["ls-j3", "ls-j4", "random-j5-k5"])
-    def test_matches_brute_force_pair_sum(self, cb):
-        p = cb.params
-        users = tuple(r.users for r in resource_layout(cb)[1])
-        S, n = p.M * p.M, 2
-        rng = np.random.default_rng(11)
-        factors = [rng.uniform(0.05, 1.0, size=(n,) + (S,) * len(us)) for us in users]
-        weight = rng.uniform(0.1, 2.0, size=S)
-        got = pair_state_plan(users, S).contract(factors, weight)
-
-        idx = np.arange(p.M**p.J)
-        digits = [(idx // p.M ** (p.J - 1 - u)) % p.M for u in range(p.J)]
-        # Pair-state of user u for the ordered pair (i, j): x_u(i) * M + x_u(j).
-        states = [d[:, None] * p.M + d[None, :] for d in digits]
-        prod = np.ones((n,) + states[0].shape)
-        for f, us in zip(factors, users):
-            flat = np.zeros(states[0].shape, dtype=np.int64)
-            for u in us:
-                flat = flat * S + states[u]
-            prod *= f.reshape(n, -1)[:, flat]
-        want = np.sum(prod * sum(weight[s] for s in states), axis=(1, 2))
-        np.testing.assert_allclose(got, want, rtol=1e-13)

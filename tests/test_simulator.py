@@ -26,7 +26,8 @@ from scma_vlc import (
 )
 from scma_vlc.decoder import max_log_mpa_batch
 from scma_vlc.errors import CapacityError, ConfigError, DimensionError, DomainError
-from scma_vlc.model import Codebook, PairStatePlan, codebook_set_from_constellations
+from scma_vlc.model import Codebook, codebook_set_from_constellations
+from scma_vlc.pairstate import PairStatePlan
 from scma_vlc.model import label_table, resource_layout
 
 from conftest import random_codebook_set
@@ -85,7 +86,7 @@ def _near_coincident(name, eps, varsigma2):
     cb = _at(load_fixture(name), varsigma2, 30.0)
     C = cb.books[0].C.copy()
     C[:, 1] = C[:, 0] + eps
-    return replace(cb, books=(Codebook(C=C, user_index=1), *cb.books[1:]))
+    return replace(cb, books=(Codebook(C=C), *cb.books[1:]))
 
 
 @pytest.fixture
@@ -407,7 +408,7 @@ class TestStructuralBound:
         assert np.all(np.diff(c) > 0)
 
     # The stop rests on this: along ascending c, no node's value grows. With
-    # the stop turned off, every node that is not skipped as all-diagonal runs.
+    # the stop turned off, every node runs.
     @pytest.mark.parametrize("cb", [
         load_fixture("ls-j4"), random_codebook_set(5, seed=3, K=5),
     ], ids=["ls-j4", "random-j5-k5"])
@@ -428,6 +429,15 @@ class TestStructuralBound:
         assert len(contract_values) > 1
         assert all(len(v) <= simulator._BOUND_NODES for v in contract_values)
         assert sum(map(len, contract_values)) < len(simulator._craig_nodes()[0])
+
+    def test_underflows_to_zero(self, contract_values):
+        # Every term is flushed at every node: the bound is exactly 0, as the
+        # pairwise formula's is, and the batch stop ends it after one batch.
+        cb = _at(load_fixture("ls-j3"), 0.0, 100.0)
+        assert _chunked_union_bound(cb) == 0.0
+        assert analytical_ber(cb) == 0.0
+        assert len(contract_values) == 1
+        assert len(contract_values[0]) <= simulator._BOUND_NODES
 
     def test_high_snr(self):
         # A bound near 1e-196: every term's argument is large, and the
