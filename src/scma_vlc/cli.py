@@ -30,8 +30,8 @@ from .designer import DesignConfig, design
 from .errors import CapacityError, ConfigError, ConvergenceError, ScmaVlcError
 from .fileio import dumps_codebook_set, json_field, load_codebook_set, save_codebook_set
 from .fixtures import fixture_names, load_fixture
-from .metrics import epd_ellipses, pairwise_report, stack_codebook_set
-from .model import SystemParams, enumerate_superimposed
+from .metrics import epd_ellipses, stack_codebook_set
+from .model import SystemParams
 from .simulator import DEFAULT_MAX_FRAMES, DEFAULT_MIN_BIT_ERRORS, simulate_ber, sweep
 
 EXIT_OK = 0
@@ -138,18 +138,16 @@ def _cmd_analyze(args) -> int:
     cb_path = Path(args.cb)
     cb_set = load_codebook_set(cb_path)
     vs2 = cb_set.params.varsigma2 if args.varsigma2 is None else args.varsigma2
-    constellation = enumerate_superimposed(cb_set)
-    report = pairwise_report(constellation, vs2)
-    summary = {"d_min": report.d_min, "d_max": report.d_max,
-               "pair_count": report.pair_count}
+    # The summary and the pairs CSV read one computation of every pair distance.
+    d = stack_codebook_set(cb_set).distances(vs2)
+    summary = {"d_min": float(d.min()), "d_max": float(d.max()), "pair_count": len(d)}
     # Every artifact's data is computed before the first file is written.
     artifacts = []
     if args.pairs_csv:
-        P = len(constellation.points)
+        P = cb_set.params.M ** cb_set.params.J
         pairs = ((i, j) for i in range(1, P + 1) for j in range(i + 1, P + 1))
-        d = stack_codebook_set(cb_set).distances(vs2).tolist()
         artifacts.append((args.pairs_csv, ["pair_i", "pair_j", "red"],
-                          ([i, j, repr(x)] for (i, j), x in zip(pairs, d))))
+                          ([i, j, repr(x)] for (i, j), x in zip(pairs, d.tolist()))))
     if args.ellipses_csv:
         rows = []
         for user, book in enumerate(cb_set.books, start=1):

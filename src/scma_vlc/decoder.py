@@ -11,12 +11,15 @@ marginalizes one neighbour axis at a time, right after adding that
 neighbour's message, and shares the reduced prefix between positions; with
 ``max`` each message is the same float as one joint max over the other axes.
 Each tile ends with its bit decisions (and, for a public call, its LLRs),
-so every decode takes the same path. The public batch functions take frames
-on axis 0; the single-vector functions wrap a batch of one. A simulation
-decodes all its blocks in one workspace, whose messages are one tile wide,
-and reads only the hard decisions. Each resource's users, superimposed
-values and combination order come from model.resource_layout, shared with
-the designer and the union bound.
+so every decode takes the same path. Both detectors share one front end
+(_detect): it checks the input, takes the caller's _Workspace or builds one,
+and runs the kernel. A workspace holds one codebook set's tables, the
+schedule of its iteration count and the kernel's buffers; a simulation
+builds one per run, with messages one tile wide, decodes every block in it
+and reads only the hard decisions. The public batch functions take frames
+on axis 0; the single-vector functions wrap a batch of one. Each resource's
+users, superimposed values and combination order come from
+model.resource_layout, shared with the designer and the union bound.
 
 The kernel gives the result of flooding for the requested iterations, but
 runs a static schedule of only the messages that result reads: a message
@@ -29,7 +32,7 @@ is final and every message runs in every iteration.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -78,7 +81,7 @@ class DecoderState:
     op_counts: OpCounts | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Tables:
     """Per-resource decoder tables of one codebook set, read from its layout."""
 
@@ -95,10 +98,6 @@ class _Tables:
     rn_final: np.ndarray                  # (E,) iteration after which each RN message is final
     vn_final: np.ndarray                  # (E,) the same for each VN message
     settle: int | None                    # iterations until every message is final
-    # (n_iters, (prior, steps)) of the last _schedule call; replace() starts it afresh.
-    schedule: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    # A simulation's workspace; with it max_log_mpa_batch returns hard bits only.
-    work: _Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _build_tables(cb_set: CodebookSet) -> _Tables:
@@ -152,11 +151,8 @@ def _schedule(tables: _Tables, n_iters: int) -> tuple:
     start at the prior. steps holds one (rn_steps, vn_steps) per iteration:
     rn_steps holds (k, wanted neighbour positions) for each resource with a
     needed message, vn_steps (e, the RN edges its message sums) for each
-    needed VN message. The last result is kept on tables, so a caller that
-    decodes many blocks with one tables builds it once.
+    needed VN message. A _Workspace builds it once, for all the calls it serves.
     """
-    if tables.schedule[0] == n_iters:
-        return tables.schedule[1]
     E = len(tables.edges)
     if tables.settle is None:
         rn_need = vn_need = [set(range(E))] * (n_iters + 1)
@@ -183,8 +179,7 @@ def _schedule(tables: _Tables, n_iters: int) -> tuple:
         vn_steps = [(e, [r for r in es if r != e])
                     for es in tables.vn_edges for e in es if e in vn_need[i]]
         steps.append(([(k, w) for k, w in rn_steps if w], vn_steps))
-    tables.schedule = (n_iters, (sorted(vn_need[0]), steps))
-    return tables.schedule[1]
+    return sorted(vn_need[0]), steps
 
 
 def _received(Y, p, single: bool = False) -> np.ndarray:
@@ -294,18 +289,19 @@ def _page_aligned(shape) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers of the kernel for calls of up to `frames` frames with one tables.
+    """Tables, schedule and buffers of the kernel for calls of up to `frames` frames.
 
-    The scratch is one tile wide and page-aligned: the tile's received values
-    frames last, the per-resource metrics and, per count n of symbol axes, an
-    extrinsic sum and a prefix. The tile's per-bit belief maxima reuse the
+    It keeps tables and their _schedule for n_iters, built once here for
+    every call it serves. The scratch is one tile wide and page-aligned: the
+    tile's received values frames last, the per-resource metrics and, per
+    count n of symbol axes, an extrinsic sum and a prefix. The tile's per-bit belief maxima reuse the
     widest metric's scratch where its rows suffice (on ls-j3, 2 J b = 12 of
     16). Each tile's hard decisions go to hard (frames, J, b). With keep, the
     messages (E, M, frames), beliefs (J, M, frames) and LLRs (frames, J, b)
     span all frames, as the public decoders return them. Without it the
     messages and beliefs are one tile wide and reused from tile to tile and
-    no LLRs are kept: simulate_ber builds one such workspace per run and
-    reads only the hard bits.
+    no LLRs are kept: simulate_ber builds one such workspace per run, passes
+    it to max_log_mpa_batch for every block and reads only the hard bits.
 
     A tile sets up its messages in one pass: it fills only the VN messages
     that the schedule reads at iteration 0 or returns unwritten (its
@@ -314,11 +310,12 @@ class _Workspace:
     (_add_messages), in place of a fill and an add.
     """
 
-    def __init__(self, tables: _Tables, frames: int, keep: bool):
+    def __init__(self, tables: _Tables, n_iters: int, frames: int, keep: bool):
         p = tables.params
         M, J, E = p.M, p.J, len(tables.edges)
         b = tables.labels.shape[1]
-        self.keep = keep
+        self.tables, self.n_iters, self.frames, self.keep = tables, n_iters, frames, keep
+        self.schedule = _schedule(tables, n_iters)
         self.tile = max(1, _TILE_BYTES // (8 * max(v.size for v in tables.values)))
         width = min(self.tile, frames)
         span = frames if keep else width
@@ -342,18 +339,17 @@ class _Workspace:
         self.llrs = np.empty((frames, J, b)) if keep else None
 
 
-def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=False,
-                   work=None):
-    """Message passing on (T, K) received vectors, frames last.
+def _pass_messages(Y, work, reduce, include_logdet=False, force_awgn=False):
+    """Message passing on (T, K) received vectors in work, frames last.
 
     reduce(x, axis, out) marginalizes one axis of x into out and may
     overwrite x: np.max for Max-Log, _logsumexp_reduce for sum-product.
     Returns beliefs (J, M, T) and the RN->VN and VN->RN messages (E, M, T),
-    edge e being tables.edges[e]: those of n_iters flooding iterations.
-    Only the messages that result reads run, per _schedule(tables,
-    n_iters): on ls-j3 each message once (6 RN and 6 VN updates in place
-    of 18 and 18 at 3 or more iterations); on a graph with a cycle, every
-    message in every iteration.
+    edge e being work.tables.edges[e]: those of work.n_iters flooding
+    iterations. Only the messages that result reads run, per work.schedule:
+    on ls-j3 each message once (6 RN and 6 VN updates in place of 18 and 18
+    at 3 or more iterations); on a graph with a cycle, every message in
+    every iteration.
 
     An RN update reduces one neighbour axis right after adding its VN message
     (_rn_update), so the prefix over the first positions is shared by the
@@ -364,19 +360,16 @@ def _pass_messages(Y, tables, n_iters, reduce, include_logdet=False, force_awgn=
 
     Frames are independent, so the iterations run over frame tiles sized so
     that the widest resource's metric fills _TILE_BYTES, with the scratch
-    of a _Workspace reused across tiles and iterations: work, or a fresh one
-    that keeps all frames. Every tile ends alike: its beliefs are summed
-    (and, for sum-product, normalized per frame), its hard decisions go to
-    work.hard and, when work keeps all frames, its LLRs to work.llrs. A
-    simulation's work keeps one tile, and the arrays returned hold the last
-    tile only.
+    of work reused across tiles and iterations. Every tile ends alike: its
+    beliefs are summed (and, for sum-product, normalized per frame), its
+    hard decisions go to work.hard and, when work keeps all frames, its LLRs
+    to work.llrs. A simulation's work keeps one tile, and the arrays
+    returned hold the last tile only.
     """
-    p = tables.params
-    M, T = p.M, Y.shape[0]
-    prior, steps = _schedule(tables, n_iters)
+    tables = work.tables
+    M, T = tables.params.M, Y.shape[0]
+    prior, steps = work.schedule
     log_prior = -np.log(M)
-    if work is None:
-        work = _Workspace(tables, T, keep=True)
 
     for lo in range(0, T, work.tile):
         t = min(work.tile, T - lo)
@@ -453,18 +446,36 @@ def _bit_maxima(beliefs, bit_syms, max0, max1):
                 np.maximum(out, beliefs[:, m], out=out)
 
 
-def _outputs(work: _Workspace, tables: _Tables):
-    """Frames-first (beliefs, llrs, hard bits, messages) of a workspace that keeps all frames.
+def _detect(Y, cb_set, n_iters, least, work, reduce, include_logdet, force_awgn=False):
+    """The detectors' front end: check, decode in a workspace, return its outputs.
 
-    The LLRs and hard bits are those the tile loop wrote; messages are
-    returned as (k, j) -> (T, M) views.
+    Y is checked by _received, then n_iters must be an integer >= least
+    (DomainError). work, a _Workspace on _build_tables(cb_set), serves as
+    given; unless it was built for n_iters and at least len(Y) frames,
+    ConfigError is raised before any buffer is written. Without it a
+    workspace that keeps all frames is built. Returns frames-first
+    (beliefs, llrs, hard bits, messages), the messages as (k, j) -> (T, M)
+    views; from a workspace without keep, (None, None, hard bits, None),
+    the hard bits a bool view of the workspace that its next call overwrites.
     """
+    Y = _received(Y, cb_set.params)
+    check_integer("n_iters", n_iters, DomainError, least=least)
+    T = len(Y)
+    if work is None:
+        work = _Workspace(_build_tables(cb_set), n_iters, T, keep=True)
+    elif work.n_iters != n_iters or T > work.frames:
+        raise ConfigError(f"a workspace for {work.n_iters} iterations and {work.frames} "
+                          f"frames cannot decode {T} frames at {n_iters}")
+    _pass_messages(Y, work, reduce, include_logdet, force_awgn)
+    if not work.keep:
+        return None, None, work.hard[:T], None
+    edges = work.tables.edges
     messages = (
-        {edge: work.rn[e].T for e, edge in enumerate(tables.edges)},
-        {edge: work.vn[e].T for e, edge in enumerate(tables.edges)},
+        {edge: work.rn[e, :, :T].T for e, edge in enumerate(edges)},
+        {edge: work.vn[e, :, :T].T for e, edge in enumerate(edges)},
     )
-    beliefs = np.ascontiguousarray(work.beliefs.transpose(2, 0, 1))
-    return beliefs, work.llrs, work.hard.view(np.uint8), messages
+    beliefs = np.ascontiguousarray(work.beliefs[:, :, :T].transpose(2, 0, 1))
+    return beliefs, work.llrs[:T], work.hard[:T].view(np.uint8), messages
 
 
 def max_log_mpa_batch(
@@ -474,7 +485,7 @@ def max_log_mpa_batch(
     include_logdet: bool = False,
     count_ops: bool = False,
     force_awgn: bool = False,
-    tables: _Tables | None = None,
+    work: _Workspace | None = None,
 ):
     """Max-Log message passing over a batch of received vectors.
 
@@ -483,24 +494,12 @@ def max_log_mpa_batch(
     graph_op_counts for n_iters. Y is checked by _received; raises
     DomainError unless n_iters is an integer >= 1.
 
-    tables, from _build_tables(cb_set), saves rebuilding them per call. A
-    simulation's tables carry its workspace (tables.work); then the result
-    is (None, None, hard bits, None, counts), the hard bits a bool view of
-    the workspace that the next call overwrites.
+    work, a _Workspace for n_iters, saves rebuilding the tables, schedule
+    and buffers per call (_detect). A simulation's keeps no frames; then
+    the result is (None, None, hard bits, None, counts).
     """
-    p = cb_set.params
-    Y = _received(Y, p)
-    check_integer("n_iters", n_iters, DomainError, least=1)
-    if tables is None:
-        tables = _build_tables(cb_set)
-    counts = graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None
-    work = tables.work
-    if work is None:
-        work = _Workspace(tables, len(Y), keep=True)
-    _pass_messages(Y, tables, n_iters, np.max, include_logdet, force_awgn, work)
-    if not work.keep:
-        return None, None, work.hard[:len(Y)], None, counts
-    return (*_outputs(work, tables), counts)
+    out = _detect(Y, cb_set, n_iters, 1, work, np.max, include_logdet, force_awgn)
+    return (*out, graph_op_counts(cb_set, n_iters, "max_log") if count_ops else None)
 
 
 def _single_state(beliefs, llrs, hard, messages, counts) -> DecoderState:
@@ -547,12 +546,7 @@ def mpa_linear_batch(Y: np.ndarray, cb_set: CodebookSet, n_iters: int):
     Y is checked by _received; raises DomainError unless n_iters is an
     integer >= 0.
     """
-    Y = _received(Y, cb_set.params)
-    check_integer("n_iters", n_iters, DomainError, least=0)
-    tables = _build_tables(cb_set)
-    work = _Workspace(tables, len(Y), keep=True)
-    _pass_messages(Y, tables, n_iters, _logsumexp_reduce, include_logdet=True, work=work)
-    return (*_outputs(work, tables), None)
+    return (*_detect(Y, cb_set, n_iters, 0, None, _logsumexp_reduce, True), None)
 
 
 def mpa_linear(

@@ -212,6 +212,11 @@ def analytical_ber(cb_set: CodebookSet) -> float:
     takes to exactly 0 stops it too, so a bound that underflows returns 0
     after one batch. Raises CapacityError when M^J exceeds
     DEFAULT_MAX_POINTS.
+
+    A resource that every user reaches is slow and large: its factor is a
+    full (M^2)^J = P^2 table per node, so a batch holds one node. On
+    build_factor_graph(6, 6, 3) at Pe 10 one call took 62.5 s and 765 MB,
+    against 2.6-3.1 s for the pairwise erfc formula.
     """
     p = cb_set.params
     if p.M**p.J > DEFAULT_MAX_POINTS:
@@ -271,9 +276,9 @@ def _count_errors(cb_set: CodebookSet, n_iters: int, min_bit_errors: int | None,
     Every per-block array lives in buffers built once per run for
     _FRAME_BLOCK frames, a ragged last block using their first rows: the
     superposition, the received values, the sent bits and the errors here,
-    and the decoder's in a _Workspace on its tables, from which
-    max_log_mpa_batch returns only the hard bits. They are freed on return,
-    before simulate_ber computes the union bound.
+    and the decoder's tables, schedule and buffers in one _Workspace, from
+    which max_log_mpa_batch returns only the hard bits. They are freed on
+    return, before simulate_ber computes the union bound.
 
     A block's errors are counted per user, one np.count_nonzero of that
     user's (T, b) slice of the error array each: the integers of a sum
@@ -284,8 +289,8 @@ def _count_errors(cb_set: CodebookSet, n_iters: int, min_bit_errors: int | None,
     """
     p = cb_set.params
     b = p.bits_per_symbol
-    tables = _build_tables(cb_set)
-    tables.work = _Workspace(tables, _FRAME_BLOCK, keep=False)
+    work = _Workspace(_build_tables(cb_set), n_iters, _FRAME_BLOCK, keep=False)
+    tables = work.tables
     s_all, y_all = np.empty((2, _FRAME_BLOCK, p.K))
     sent_all = np.empty((_FRAME_BLOCK, p.J, b), dtype=tables.labels.dtype)
     bad_all = np.empty((_FRAME_BLOCK, p.J, b), dtype=bool)
@@ -310,9 +315,7 @@ def _count_errors(cb_set: CodebookSet, n_iters: int, min_bit_errors: int | None,
         for k, r in enumerate(tables.layout):
             s[:, k] = tables.values[k][r.combos(syms)]
         y = add_idgn(s, p.sigma2, p.varsigma2, stream, rng=rng, out=y_all[:T])
-        _, _, hard, _, _ = max_log_mpa_batch(
-            y, cb_set, n_iters, include_logdet=False, tables=tables
-        )
+        _, _, hard, _, _ = max_log_mpa_batch(y, cb_set, n_iters, include_logdet=False, work=work)
         sent_bits = np.take(tables.labels, syms, axis=0, out=sent_all[:T])  # (T, J, b)
         bad = np.not_equal(hard, sent_bits, out=bad_all[:T])
         for j in range(p.J):

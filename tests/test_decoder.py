@@ -76,6 +76,25 @@ class TestInterfaces:
         with pytest.raises(DomainError, match="n_iters"):
             decode(np.ones(4), ls_j3, n_iters=n_iters)
 
+    # Y is checked first, then n_iters, and only then are the op counts computed.
+    @pytest.mark.parametrize("n_iters", [0, -1, True, 2.5])
+    def test_error_order_with_counts(self, ls_j3, n_iters):
+        with pytest.raises(DomainError, match="n_iters"):
+            max_log_mpa_batch(np.ones((2, 4)), ls_j3, n_iters=n_iters, count_ops=True)
+        with pytest.raises(DomainError, match="received vectors"):
+            max_log_mpa_batch(np.full((2, 4), np.nan), ls_j3, n_iters=n_iters, count_ops=True)
+
+    # A workspace serves only its own iteration count and at most its frames,
+    # and refuses before it writes a buffer.
+    @pytest.mark.parametrize("n_iters,T", [(2, 50), (6, 51)])
+    def test_workspace_refuses_other_runs(self, ls_j3, n_iters, T):
+        work = decoder._Workspace(decoder._build_tables(ls_j3), 6, 50, keep=False)
+        work.yt.fill(np.nan)
+        work.hard.fill(True)
+        with pytest.raises(ConfigError, match="workspace"):
+            max_log_mpa_batch(_noisy_vectors(ls_j3, T, seed=4), ls_j3, n_iters, work=work)
+        assert np.isnan(work.yt).all() and work.hard.all()
+
     @pytest.mark.parametrize("decode", [max_log_mpa, mpa_linear])
     def test_accepts_numpy_integer_iters(self, ls_j3, decode):
         np.testing.assert_array_equal(decode(np.ones(4), ls_j3, n_iters=np.int64(2)).beliefs,
@@ -458,7 +477,7 @@ class TestGoldenMaxLog:
         kw = dict(min_bit_errors=None, max_frames=frames, seed=4, compute_analytical=False)
         got = simulate_ber(cb, **kw)
         monkeypatch.setattr(simulator, "max_log_mpa_batch",
-                            lambda y, cb_set, n_iters, include_logdet, tables:
+                            lambda y, cb_set, n_iters, include_logdet, work:
                             _gather_max_log(y, cb_set, n_iters, include_logdet))
         ref = simulate_ber(cb, **kw)
         assert got.bit_errors > 0
@@ -491,8 +510,10 @@ class TestFrameTiles:
 class TestWorkspace:
     def test_successive_calls_share_no_memory(self, ls_j3):
         Y = _noisy_vectors(ls_j3, 50, seed=2)
-        for kw in ({}, {"tables": decoder._build_tables(ls_j3)}):
-            a, b = max_log_mpa_batch(Y, ls_j3, **kw), max_log_mpa_batch(Y, ls_j3, **kw)
+        tables = decoder._build_tables(ls_j3)
+        # Without work each call builds its own workspace; a caller gives one per call.
+        for kw in (dict, lambda: {"work": decoder._Workspace(tables, 6, 50, keep=True)}):
+            a, b = max_log_mpa_batch(Y, ls_j3, **kw()), max_log_mpa_batch(Y, ls_j3, **kw())
             for x, y in zip(a[:3], b[:3]):  # beliefs, llrs, hard bits
                 assert not np.shares_memory(x, y)
             for msgs_a, msgs_b in zip(a[3], b[3]):
@@ -500,7 +521,7 @@ class TestWorkspace:
                     assert not np.shares_memory(msgs_a[e], msgs_b[e])
                     assert not np.shares_memory(msgs_a[e], Y)
 
-    # A simulation's workspace (tables.work) for 300 frames with tiles of 97:
+    # A simulation's workspace (keep=False) for 300 frames with tiles of 97:
     # the hard bits of ragged blocks are those of the public call.
     @pytest.mark.parametrize("name", ["ls-j3", "ls-j5", "ls-j6", "random-j1", "random-j5"])
     def test_workspace_hard_bits(self, name, monkeypatch):
@@ -508,14 +529,14 @@ class TestWorkspace:
         widest = max(cb.params.M ** d for d in cb.graph.df_per_rn)
         monkeypatch.setattr(decoder, "_TILE_BYTES", 97 * 8 * widest)
         tables = decoder._build_tables(cb)
-        tables.work = decoder._Workspace(tables, 300, keep=False)
         Y = _noisy_vectors(cb, 300, seed=19)
-        for T in (300, 200, 5):
-            for n_iters in (1, 6):
-                got = max_log_mpa_batch(Y[-T:], cb, n_iters, tables=tables)
+        for n_iters in (1, 6):
+            work = decoder._Workspace(tables, n_iters, 300, keep=False)
+            for T in (300, 200, 5):
+                got = max_log_mpa_batch(Y[-T:], cb, n_iters, work=work)
                 want = max_log_mpa_batch(Y[-T:], cb, n_iters)
                 assert got[0] is got[1] is got[3] is got[4] is None
-                assert np.shares_memory(got[2], tables.work.hard)
+                assert np.shares_memory(got[2], work.hard)
                 np.testing.assert_array_equal(got[2], want[2])
 
 
@@ -615,19 +636,25 @@ class TestSchedule:
             outs.append(out)
             return np.max(x, axis, out=out)
 
-        _, rn, _ = decoder._pass_messages(_noisy_vectors(cb, 50, seed=3), tables, 6,
-                                          counting_max)
+        work = decoder._Workspace(tables, 6, 50, keep=True)
+        _, rn, _ = decoder._pass_messages(_noisy_vectors(cb, 50, seed=3), work, counting_max)
         # A degree-1 resource's message is its metric, copied without a reduce.
         degrees = [cb.graph.df_per_rn[k] for k, _ in tables.edges]
         writes = [sum(np.shares_memory(out, rn[e]) for out in outs) for e in range(len(degrees))]
         assert writes == [per_message if d > 1 else 0 for d in degrees]
         assert len(outs) == calls
 
-    def test_built_once_per_tables_and_iters(self, ls_j3):
+    def test_one_schedule_per_workspace(self, ls_j3, monkeypatch):
         tables = decoder._build_tables(ls_j3)
-        steps = decoder._schedule(tables, 6)
-        assert decoder._schedule(tables, 6) is steps
-        assert decoder._schedule(tables, 2) is not steps
+        work = decoder._Workspace(tables, 6, 50, keep=False)
+        steps = work.schedule
+        assert steps == decoder._schedule(tables, 6)
+        with monkeypatch.context() as m:
+            m.setattr(decoder, "_schedule", None)  # calls given work build no schedule
+            for T in (50, 20):
+                max_log_mpa_batch(_noisy_vectors(ls_j3, T, seed=1), ls_j3, 6, work=work)
+        assert work.schedule is steps
+        assert decoder._schedule(tables, 2) != steps
         assert decoder._schedule(replace(tables, settle=None), 6) != steps
 
 

@@ -639,12 +639,12 @@ class TestSimulationWorkspace:
                           _fresh_block_ber(cb, **kw))
 
     def test_one_call_per_block_and_one_workspace_per_run(self, ls_j3, monkeypatch):
-        decode, noise, workspace = (simulator.max_log_mpa_batch, simulator.add_idgn,
-                                    simulator._Workspace)
-        decoded, noised, built = [], [], []
+        decode, noise, workspace, schedule = (simulator.max_log_mpa_batch, simulator.add_idgn,
+                                              simulator._Workspace, decoder._schedule)
+        decoded, noised, built, scheduled = [], [], [], []
 
         def decode_spy(y, cb_set, *args, **kwargs):
-            decoded.append((len(y), kwargs["tables"]))
+            decoded.append((len(y), kwargs["work"]))
             return decode(y, cb_set, *args, **kwargs)
 
         def noise_spy(s, *args, **kwargs):
@@ -655,16 +655,21 @@ class TestSimulationWorkspace:
             built.append(workspace(*args, **kwargs))
             return built[-1]
 
+        def schedule_spy(*args):
+            scheduled.append(args)
+            return schedule(*args)
+
         monkeypatch.setattr(simulator, "max_log_mpa_batch", decode_spy)
         monkeypatch.setattr(simulator, "add_idgn", noise_spy)
         monkeypatch.setattr(simulator, "_Workspace", workspace_spy)
+        monkeypatch.setattr(decoder, "_schedule", schedule_spy)
         blocks = [simulator._FRAME_BLOCK] * 2 + [100]
         for run in (1, 2):
             simulate_ber(ls_j3, min_bit_errors=None, max_frames=sum(blocks),
                          compute_analytical=False)
-            assert len(built) == run
+            assert len(built) == len(scheduled) == run
             assert [n for n, _ in decoded] == noised == blocks
-            assert all(tables.work is built[-1] for _, tables in decoded)
+            assert all(work is built[-1] for _, work in decoded)
             decoded.clear()
             noised.clear()
 
