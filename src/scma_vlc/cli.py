@@ -157,7 +157,9 @@ def _cmd_analyze(args) -> int:
         artifacts.append((args.ellipses_csv,
                           ["user", "point", "center_1", "center_2", "a_1", "a_2"], rows))
     if args.summary_json:
-        Path(args.summary_json).write_text(json.dumps(summary, indent=2) + "\n")
+        out = Path(args.summary_json)
+        out.write_text(json.dumps(summary, indent=2) + "\n")
+        _write_manifest(out, args, [cb_path], started)
     print(json.dumps(summary))
     for out, header, rows in artifacts:
         _write_csv(Path(out), header, rows, args, [cb_path], started)

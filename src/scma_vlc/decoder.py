@@ -28,6 +28,13 @@ on a cycle-free graph each message is computed about once, in an inward and
 an outward sweep (Kschischang, Frey and Loeliger, "Factor graphs and the
 sum-product algorithm", IEEE T-IT 2001). On a graph with a cycle no message
 is final and every message runs in every iteration.
+
+At iteration 1 every VN message an RN update reads is still the uniform
+prior c = -ln M, a constant. Rounding is monotone, so max_a fl(x_a + c) ==
+fl(max_a x_a + c): Max-Log adds such an input after reducing its axis, on a
+tensor M times smaller, with every float unchanged (8 of the 48 full-size
+adds of a 6-iteration ls-j6 decode). Sum-product's shifted log-sum-exp is
+not exact under that move, so it adds every input first.
 """
 
 from __future__ import annotations
@@ -146,12 +153,19 @@ def _schedule(tables: _Tables, n_iters: int) -> tuple:
     float for float. With settle None, as on a graph with a cycle, no
     message counts as final and every message runs in every iteration.
 
-    Returns (prior, steps). prior lists the VN messages needed at iteration
-    0, read as the prior or returned unwritten, the only ones a tile must
-    start at the prior. steps holds one (rn_steps, vn_steps) per iteration:
-    rn_steps holds (k, wanted neighbour positions) for each resource with a
-    needed message, vn_steps (e, the RN edges its message sums) for each
-    needed VN message. A _Workspace builds it once, for all the calls it serves.
+    An RN message at iteration i thus reads the other VN messages at
+    min(i - 1, their final time); where that is 0 (at i = 1 always, later
+    for a one-resource user) the input is the constant prior, which Max-Log
+    adds after the reduce (_rn_update).
+
+    Returns (prior, unwritten, steps). prior lists the VN messages needed at
+    iteration 0, read as the prior or returned unwritten; unwritten those of
+    them that no later iteration writes, the only ones Max-Log must fill.
+    steps holds one (rn_steps, vn_steps) per iteration: rn_steps holds (k,
+    wanted neighbour positions, positions read at iteration 0) for each
+    resource with a needed message, vn_steps (e, the RN edges its message
+    sums) for each needed VN message. A _Workspace builds it once, for all
+    the calls it serves.
     """
     E = len(tables.edges)
     if tables.settle is None:
@@ -174,12 +188,19 @@ def _schedule(tables: _Tables, n_iters: int) -> tuple:
                         vn_need[int(min(i - 1, vn_t[r]))].add(r)
     steps = []
     for i in range(1, n_iters + 1):
-        rn_steps = [(k, tuple(pos for pos, e in enumerate(es) if e in rn_need[i]))
-                    for k, es in enumerate(tables.rn_edges)]
+        rn_steps = []
+        for k, es in enumerate(tables.rn_edges):
+            wanted = tuple(pos for pos, e in enumerate(es) if e in rn_need[i])
+            if wanted:
+                # Positions some wanted message reads, and reads at 0.
+                const = tuple(q for q, e in enumerate(es) if wanted != (q,)
+                              and min(i - 1, tables.vn_final[e]) == 0)
+                rn_steps.append((k, wanted, const))
         vn_steps = [(e, [r for r in es if r != e])
                     for es in tables.vn_edges for e in es if e in vn_need[i]]
-        steps.append(([(k, w) for k, w in rn_steps if w], vn_steps))
-    return sorted(vn_need[0]), steps
+        steps.append((rn_steps, vn_steps))
+    written = set().union(*vn_need[1:])
+    return sorted(vn_need[0]), sorted(vn_need[0] - written), steps
 
 
 def _received(Y, p, single: bool = False) -> np.ndarray:
@@ -243,7 +264,7 @@ def _logsumexp_reduce(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rn_update(metric, views, edges, wanted, rn, sums, prefixes, reduce):
+def _rn_update(metric, views, edges, wanted, const, log_prior, rn, sums, prefixes, reduce):
     """RN->VN messages of one resource into rn, one neighbour axis at a time.
 
     metric is (M,)*d + (t,); views[q] is the VN message of neighbour position
@@ -252,11 +273,24 @@ def _rn_update(metric, views, edges, wanted, rn, sums, prefixes, reduce):
     wanted lists, ascending, the positions whose messages are computed; the
     others' rows of rn are left as they are. sums[n] and prefixes[n] are
     scratch tensors with n symbol axes.
+
+    The VN messages at the positions in const are the constant log_prior,
+    and their views are not read: the axis is reduced straight into the
+    output and log_prior added there. With np.max that is the same float
+    (max_a fl(x_a + c) == fl(max_a x_a + c)); reduce must leave x intact.
     """
     d = len(edges)
     if d == 1:
         np.copyto(rn[edges[0]], metric)
         return
+
+    def absorb(x, q, axis, out):  # reduce(x + v_q) over axis into out
+        if q in const:
+            out = reduce(x, axis, out)
+            out += log_prior
+            return out
+        return reduce(np.add(x, views[q], out=sums[x.ndim - 1]), axis, out)
+
     # P_0 is the metric and P_{j+1} = reduce_0(P_j + v_j). The message to
     # position j continues from P_j: add v_q and reduce axis 1, q = j+1..d-1.
     # The last prefix is the message to position d-1. A wanted message is
@@ -267,12 +301,11 @@ def _rn_update(metric, views, edges, wanted, rn, sums, prefixes, reduce):
             x = prefix
             for q in range(j + 1, d):
                 n = x.ndim - 1
-                x = reduce(np.add(x, views[q], out=sums[n]), 1, rn[e] if n == 2 else sums[n - 1])
+                x = absorb(x, q, 1, rn[e] if n == 2 else sums[n - 1])
         if j == wanted[-1]:
             return
         n = prefix.ndim - 1
-        prefix = reduce(np.add(prefix, views[j], out=sums[n]), 0,
-                        rn[edges[j + 1]] if n == 2 else prefixes[n - 1])
+        prefix = absorb(prefix, j, 0, rn[edges[j + 1]] if n == 2 else prefixes[n - 1])
 
 
 def _page_aligned(shape) -> np.ndarray:
@@ -303,11 +336,11 @@ class _Workspace:
     no LLRs are kept: simulate_ber builds one such workspace per run, passes
     it to max_log_mpa_batch for every block and reads only the hard bits.
 
-    A tile sets up its messages in one pass: it fills only the VN messages
-    that the schedule reads at iteration 0 or returns unwritten (its
-    prior) with the log prior, and every VN message and belief that sums
-    RN messages starts with one np.add of the first of them and the prior
-    (_add_messages), in place of a fill and an add.
+    A tile sets up its messages in one pass: it fills with the log prior
+    only the VN messages that the schedule returns unwritten and, for
+    sum-product, those it reads at iteration 0, and every VN message and
+    belief that sums RN messages starts with one np.add of the first of
+    them and the prior (_add_messages), in place of a fill and an add.
     """
 
     def __init__(self, tables: _Tables, n_iters: int, frames: int, keep: bool):
@@ -357,6 +390,9 @@ def _pass_messages(Y, work, reduce, include_logdet=False, force_awgn=False):
     exactly, and terms are added in ascending neighbour position: with np.max
     every message is the float of the per-edge gather formulation, which adds
     all other messages to the metric and takes one joint max, bit for bit.
+    By the same identity Max-Log (any reduce but _logsumexp_reduce) adds an
+    input that is still the prior after reducing its axis, so it reads no
+    VN row at iteration 0 and a tile fills only the rows returned unwritten.
 
     Frames are independent, so the iterations run over frame tiles sized so
     that the widest resource's metric fills _TILE_BYTES, with the scratch
@@ -368,8 +404,11 @@ def _pass_messages(Y, work, reduce, include_logdet=False, force_awgn=False):
     """
     tables = work.tables
     M, T = tables.params.M, Y.shape[0]
-    prior, steps = work.schedule
+    prior, unwritten, steps = work.schedule
     log_prior = -np.log(M)
+    exact_prior = reduce is not _logsumexp_reduce
+    if exact_prior:
+        prior = unwritten
 
     for lo in range(0, T, work.tile):
         t = min(work.tile, T - lo)
@@ -390,9 +429,9 @@ def _pass_messages(Y, work, reduce, include_logdet=False, force_awgn=False):
             for es in tables.rn_edges
         ]
         for rn_steps, vn_steps in steps:
-            for k, wanted in rn_steps:
-                _rn_update(metrics[k], views[k], tables.rn_edges[k], wanted, rn, sums, prefixes,
-                           reduce)
+            for k, wanted, const in rn_steps:
+                _rn_update(metrics[k], views[k], tables.rn_edges[k], wanted,
+                           const if exact_prior else (), log_prior, rn, sums, prefixes, reduce)
             # VN updates from the just-computed RN messages.
             for e, others in vn_steps:
                 _add_messages(vn[e], log_prior, rn, others)

@@ -62,6 +62,14 @@ class TestAnalyzeCommand:
         assert data["pair_count"] == 2016
         assert 0 < data["d_min"] < data["d_max"]
 
+    def test_summary_alone_gets_a_manifest(self, fixture_file, tmp_path):
+        summary = tmp_path / "summary.json"
+        assert main(["analyze", "--cb", str(fixture_file), "--summary-json", str(summary)]) == 0
+        manifest = json.loads((tmp_path / "summary.json.manifest.json").read_text())
+        assert manifest["command"] == "analyze"
+        assert manifest["config"]["summary_json"] == str(summary)
+        assert list(manifest["input_digests"]) == [str(fixture_file)]
+
     def test_ellipses_csv(self, fixture_file, tmp_path):
         out = tmp_path / "ellipses.csv"
         rc = main(["analyze", "--cb", str(fixture_file), "--ellipses-csv", str(out)])

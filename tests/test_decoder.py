@@ -657,6 +657,75 @@ class TestSchedule:
         assert decoder._schedule(tables, 2) != steps
         assert decoder._schedule(replace(tables, settle=None), 6) != steps
 
+    # The positions whose VN input an RN step reads at iteration 0, the
+    # prior: on ls-j6 every position of step 1 and none later; on ls-j3 at 6
+    # iterations step 1 updates only the degree-1 resources, which read none.
+    @pytest.mark.parametrize("name,n_iters,want", [
+        ("ls-j6", 6, [[(0, 1, 2)] * 4] + [[()] * 4] * 5),
+        ("ls-j3", 6, [[(), ()]] * 3 + [[]] * 3),
+        ("ls-j3", 1, [[(0, 1), (0, 1), (), ()]]),
+    ])
+    def test_constant_positions(self, name, n_iters, want):
+        tables = decoder._build_tables(load_fixture(name))
+        _, unwritten, steps = decoder._schedule(tables, n_iters)
+        assert [[const for _, _, const in rn_steps] for rn_steps, _ in steps] == want
+        # Each row read at iteration 0 is read as a constant and written
+        # later, so a Max-Log tile fills no row with the prior.
+        assert unwritten == []
+
+    # On ls-j6 an RN update adds two VN messages to a full (M,)*3 + (t,)
+    # tensor, in the extrinsic sum work.sums[3]; at iteration 1 it adds
+    # neither: 0 of 8 such reduce inputs at 1 iteration, 40 of 48 at 6.
+    @pytest.mark.parametrize("n_iters,full", [(1, 0), (6, 40)])
+    def test_no_full_size_add_at_iteration_1(self, n_iters, full):
+        cb = load_fixture("ls-j6")
+        work = decoder._Workspace(decoder._build_tables(cb), n_iters, 50, keep=True)
+        inputs = []
+
+        def recording_max(x, axis, out):
+            inputs.append(x)
+            return np.max(x, axis, out=out)
+
+        decoder._pass_messages(_noisy_vectors(cb, 50, seed=3), work, recording_max)
+        assert sum(np.shares_memory(x, work.sums[3]) for x in inputs) == full
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j6"])
+    def test_max_log_reads_no_vn_row_at_iteration_0(self, name):
+        # VN rows that hold NaN until written: Max-Log adds the prior as a
+        # constant, so the messages are those of the public call.
+        cb = load_fixture(name)
+        Y = _noisy_vectors(cb, 50, seed=31)
+        work = decoder._Workspace(decoder._build_tables(cb), 1, len(Y), keep=True)
+        work.vn.fill(np.nan)
+        _, rn, vn = decoder._pass_messages(Y, work, np.max)
+        want = max_log_mpa_batch(Y, cb, 1)[3]
+        for got_msgs, want_msgs in zip((rn, vn), want):
+            for e, edge in enumerate(work.tables.edges):
+                np.testing.assert_array_equal(got_msgs[e].T, want_msgs[edge])
+
+
+class TestCyclicGraphs:
+    # On a graph with a cycle every message runs in every iteration; at 1
+    # iteration every RN input is the prior, added after the reduce.
+    @pytest.mark.parametrize("name", ["ls-j4", "ls-j5", "ls-j6",
+                                      "random-j4", "random-j5", "random-j6"])
+    def test_bitwise_equal_gather_decoder_at_few_iterations(self, name):
+        cb = _golden_set(name)
+        assert decoder._build_tables(cb).settle is None
+        Y = _noisy_vectors(cb, 100, seed=29)
+        for n_iters in (1, 2, 3):
+            for include_logdet in (False, True):
+                for force_awgn in (False, True):
+                    kw = dict(include_logdet=include_logdet, force_awgn=force_awgn)
+                    got = max_log_mpa_batch(Y, cb, n_iters, **kw)
+                    ref = _gather_max_log(Y, cb, n_iters, early_exit=False, **kw)
+                    for i in range(3):  # beliefs, llrs, hard bits
+                        np.testing.assert_array_equal(got[i], ref[i])
+                    for got_msgs, ref_msgs in zip(got[3], ref[3]):
+                        assert set(got_msgs) == set(ref_msgs)
+                        for e in ref_msgs:
+                            np.testing.assert_array_equal(got_msgs[e], ref_msgs[e])
+
 
 class TestLogDomainSumProduct:
     @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5", "ls-j6"])
