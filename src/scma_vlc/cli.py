@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .decoder import DEFAULT_ITERS, graph_op_counts, max_log_mpa_batch, mpa_linear_batch
@@ -56,6 +55,10 @@ def _digest(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, args, inputs: list[Path], started: str) -> None:
+    # scipy is imported here, for its version alone, so that commands whose
+    # work does not need it never load it.
+    import scipy
+
     finished = datetime.now(timezone.utc)
     manifest = {
         "command": args.command,
@@ -123,10 +126,12 @@ def _cmd_fixtures(args) -> int:
         for name in fixture_names():
             print(name)
         return EXIT_OK
+    started = _now()
     cb_set = load_fixture(args.name)
     text = dumps_codebook_set(cb_set)
     if args.out:
         Path(args.out).write_text(text)
+        _write_manifest(Path(args.out), args, [], started)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

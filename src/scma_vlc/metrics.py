@@ -11,6 +11,12 @@ designer stacks its per-resource structure and pair indices once per codebook
 structure, zero-padded to the largest resource, and builds the tables of all
 resources in one set of array operations; pairwise_report builds one table
 and its pair indices from the distinct values of each column of the points.
+When all K * n (resource, pair) entries of a structure fit one gather step
+(_TAKE_CHUNK; J=3), a distance fill is one np.take over all K tables and a
+gradient bins its pair weights with one np.bincount, through one intp index
+offset per resource; larger structures gather and bin resource by resource
+in chunks of pairs. Both add the same terms in the same order, so they give
+the same floats.
 The resource layout itself (users, L columns, gains, combination indices)
 comes from model.resource_layout, which the decoder and the union bound read
 too.
@@ -44,7 +50,9 @@ _GATHER_CHUNK = 1 << 20
 # Its per-resource temporaries stay at 128 KiB, small enough to sit in L2 and
 # to be reused from the heap: at J=4 (32,640 pairs) full-size temporaries
 # made glibc grow and trim the heap on every call, about 27,000 page faults
-# per design, against about 500 with this step.
+# per design, against about 500 with this step. A structure whose K * n
+# (resource, pair) entries fit one step is gathered and binned for all
+# resources at once (stack_codebook_set).
 _TAKE_CHUNK = 1 << 14
 
 
@@ -69,6 +77,9 @@ class ResourceStack:
     # over their own Q columns, so that every row sum has the length, and so
     # the summation order, of an unpadded table's row.
     short_rows: tuple[tuple[int, np.ndarray], ...]
+    # (K, n) intp: pair_flat[k] + k * Qmax^2, when all K * n (resource, pair)
+    # entries fit one _TAKE_CHUNK step; else None.
+    pair_stack: np.ndarray | None
 
     def values(self, L: np.ndarray) -> np.ndarray:
         """(K, Qmax) resource values, each summed in user order."""
@@ -84,13 +95,15 @@ class PairWorkspace:
     """Pair-sized buffers shared by the StackedVectors of one structure.
 
     The objective and gradient need arrays with one entry per point pair:
-    the distances d, the shifted exponentials (or softmin weights) exp and
-    one intp block of the pair indices that np.bincount reads, index. At J=4
-    each is 261 KB, above glibc's default 128 KiB mmap threshold, so
-    allocating them per call made the heap grow and trim on every call
-    (about 31,000 minor faults per design-j4 design). The workspace
-    allocates them once with np.empty, which touches no page until a buffer
-    is used, and reuses them.
+    the distances d, the shifted exponentials (or softmin weights) exp and,
+    for a structure gathered resource by resource, one intp block of the
+    pair indices that np.bincount reads, index. At J=4 each is 261 KB, above
+    glibc's default 128 KiB mmap threshold, so allocating them per call made
+    the heap grow and trim on every call (about 31,000 minor faults per
+    design-j4 design). A structure with a pair_stack has no index block but
+    a (K, n) scratch, terms, for its stacked gather and its broadcast
+    weights. The workspace allocates its buffers once with np.empty, which
+    touches no page until a buffer is used, and reuses them.
 
     The designer evaluates the objective at a point and then, if it accepts
     the point, the gradient at that same point, so the workspace records
@@ -102,10 +115,14 @@ class PairWorkspace:
     concurrently.
     """
 
-    def __init__(self, n_pairs: int):
+    def __init__(self, n_pairs: int, pair_stack: np.ndarray | None):
         self.d = np.empty(n_pairs)
         self.exp = np.empty(n_pairs)
-        self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        self.index = self.terms = None
+        if pair_stack is None:
+            self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        else:
+            self.terms = np.empty(pair_stack.shape)
         self.d_tag = self.parts = None
         self.exp_tag = self.exp_total = None
 
@@ -154,7 +171,7 @@ class StackedVector:
         if ws.d_tag != tag:
             ws.d_tag = None
             ws.parts = _table_parts(self.stack.values(self.L), varsigma2)
-            _gather_distances(list(_distance_tables(ws.parts)), self.stack.pair_flat, ws.d)
+            _gather_distances(_distance_tables(ws.parts), self.stack, ws)
             ws.d_tag = tag
         return ws
 
@@ -193,14 +210,23 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
         gains[k, :Q, :d] = r.gains
         if Q < Qmax:
             short.setdefault(Q, []).append(k)
-    stack = ResourceStack(
-        cols=cols, gains=gains,
-        pair_flat=tuple(_pair_flat(r.combos(digits), Qmax) for r in layout),
-        short_rows=tuple((Q, np.array(ks)) for Q, ks in short.items()),
-    )
     P = len(digits)
+    n = P * (P - 1) // 2
+    pair_flat = tuple(_pair_flat(r.combos(digits), Qmax) for r in layout)
+    # At desk scale (J=3: K * n = 8,064) a call costs per-resource call
+    # overhead more than arithmetic. Stacking a larger structure (J=4:
+    # 130,560) gathers no faster and bins no faster.
+    pair_stack = None
+    if K * n <= _TAKE_CHUNK:
+        pair_stack = np.array(pair_flat, dtype=np.intp)
+        pair_stack += Qmax * Qmax * np.arange(K)[:, None]
+    stack = ResourceStack(
+        cols=cols, gains=gains, pair_flat=pair_flat,
+        short_rows=tuple((Q, np.array(ks)) for Q, ks in short.items()),
+        pair_stack=pair_stack,
+    )
     return StackedVector(L=L, stack=stack, n_points=P,
-                         workspace=PairWorkspace(P * (P - 1) // 2))
+                         workspace=PairWorkspace(n, pair_stack))
 
 
 def _pair_flat(a: np.ndarray, stride: int) -> np.ndarray:
@@ -233,7 +259,22 @@ def _distance_tables(parts) -> np.ndarray:
     return (diff * diff / root).reshape(len(diff), -1)
 
 
-def _gather_distances(tables, pair_flats, out: np.ndarray) -> np.ndarray:
+def _gather_distances(tables: np.ndarray, stack: ResourceStack, ws: PairWorkspace) -> np.ndarray:
+    """Rotated pair distances of a structure from its (K, Qmax^2) tables, into ws.d.
+
+    With a pair_stack, one np.take fills ws.terms with every resource's
+    terms, and its rows are summed in resource order (numpy reduces the
+    slow axis row by row); otherwise _gather_tables gathers them resource by
+    resource. Both add the same terms in the same order, and no term is -0.0,
+    so the first row gives the same floats as 0 + the first row.
+    """
+    if stack.pair_stack is None:
+        return _gather_tables(tables, stack.pair_flat, ws.d)
+    np.take(tables, stack.pair_stack, out=ws.terms)
+    return np.add.reduce(ws.terms, axis=0, out=ws.d)
+
+
+def _gather_tables(tables, pair_flats, out: np.ndarray) -> np.ndarray:
     """Rotated pair distances from flattened per-resource tables and pair indices, into out.
 
     Resource k contributes entry pair_flats[k][p] of tables[k]; out is zeroed
@@ -296,7 +337,7 @@ def pairwise_report(
         v, a = np.unique(column, return_inverse=True)
         tables.append(_distance_tables(_table_parts(v[None, :], varsigma2))[0])
         pair_flats.append(_pair_flat(a, len(v)))
-    d = _gather_distances(tables, pair_flats, np.empty(P * (P - 1) // 2))
+    d = _gather_tables(tables, pair_flats, np.empty(P * (P - 1) // 2))
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
@@ -371,9 +412,15 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
 
     diff, g, root = ws.parts
     K, Q = g.shape
-    W = np.empty((K, Q * Q))
-    for k, flat in enumerate(stack.pair_flat):
-        W[k] = _bin_pairs(flat, w, ws.index, Q * Q)
+    if stack.pair_stack is None:
+        W = np.empty((K, Q * Q))
+        for k, flat in enumerate(stack.pair_flat):
+            W[k] = _bin_pairs(flat, w, ws.index, Q * Q)
+    else:
+        # Resource k's bins are offset by k * Q^2, so each bin adds its
+        # weights in pair order from 0, as a bincount per resource does.
+        np.copyto(ws.terms, w)
+        W = np.bincount(stack.pair_stack.ravel(), weights=ws.terms.ravel(), minlength=K * Q * Q)
     W = W.reshape(K, Q, Q)
     # d(table[k, a, b])/d(v[k, a]); the tables are symmetric, so v[k, a]
     # collects the weights of the pairs where it is the first or the second point.

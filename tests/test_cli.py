@@ -1,14 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy
 
 from scma_vlc import (
     cli, enumerate_superimposed, load_codebook_set, load_fixture, max_log_mpa, mpa_linear, red,
 )
 from scma_vlc.cli import main
+from scma_vlc.fileio import dumps_codebook_set
 
 
 @pytest.fixture()
@@ -32,6 +37,24 @@ class TestFixturesCommand:
         with pytest.raises(SystemExit) as e:
             main(["fixtures", "export"])
         assert e.value.code == 2
+
+    def test_export_writes_manifest(self, fixture_file):
+        manifest = json.loads(fixture_file.with_name("ls-j3.scma.manifest.json").read_text())
+        assert manifest["command"] == "fixtures"
+        assert manifest["config"]["name"] == "ls-j3" and manifest["input_digests"] == {}
+
+    def test_export_to_stdout_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fixtures", "export", "ls-j3"]) == 0
+        assert capsys.readouterr().out == dumps_codebook_set(load_fixture("ls-j3"))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only for the version a manifest records.
+    code = "import sys, scma_vlc.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDesignCommand:
@@ -99,7 +122,8 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--cb", str(fixture_file), "--confidence", "1.5",
                      "--pairs-csv", str(pairs), "--ellipses-csv", str(ellipses)]) == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ls-j3.scma"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ls-j3.scma", "ls-j3.scma.manifest.json"]
 
     @pytest.mark.parametrize("varsigma2", ["nan", "inf", "-1"])
     def test_bad_varsigma2_is_usage_error(self, fixture_file, capsys, varsigma2):
@@ -287,9 +311,10 @@ class TestSimulateCommand:
         assert manifest["wall_time_s"] >= 0
         assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
         assert manifest["environment"]["numpy"] == np.__version__
+        assert manifest["environment"]["scipy"] == scipy.__version__
         assert "PCG64" in manifest["generator"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ber.csv", "ber.csv.manifest.json", "ls-j3.scma"]
+            "ber.csv", "ber.csv.manifest.json", "ls-j3.scma", "ls-j3.scma.manifest.json"]
 
 
 class TestSweepCommand:
@@ -342,7 +367,8 @@ class TestOutsideInput:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "ls-j3.scma"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad", "ls-j3.scma", "ls-j3.scma.manifest.json"]
 
 
 class TestDeterminism:

@@ -359,6 +359,37 @@ class TestStructuralKernel:
                                    atol=1e-12 * np.abs(single_g).max())
 
 
+class TestKernelPaths:
+    """A structure whose K * n (resource, pair) entries fit one gather step is
+    gathered and binned through one stacked index; larger ones resource by
+    resource. Both give the same floats."""
+
+    @pytest.mark.parametrize("name, stacked", [
+        ("ls-j3", True), ("dr-j3", True), ("random-j2-k5", True), ("ls-j4", False),
+    ])
+    def test_size_rule(self, name, stacked):
+        # K * n: 8,064 at J=3, 600 for J=2 on K=5, 130,560 at J=4.
+        cb = random_codebook_set(2, seed=7, K=5) if name == "random-j2-k5" else load_fixture(name)
+        sv = stack_codebook_set(cb)
+        assert (sv.stack.pair_stack is not None) == stacked
+        assert (sv.workspace.terms is not None) == stacked
+
+    @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
+    def test_per_resource_path_bitwise_equal_stacked(self, ls_j3, monkeypatch, varsigma2):
+        stacked = stack_codebook_set(ls_j3)
+        K, n = stacked.stack.pair_stack.shape
+        monkeypatch.setattr(metrics, "_TAKE_CHUNK", K * n - 1)
+        per_resource = stack_codebook_set(ls_j3)
+        assert per_resource.stack.pair_stack is None
+        np.testing.assert_array_equal(per_resource.distances(varsigma2),
+                                      stacked.distances(varsigma2))
+        for beta in (1.0, 10.0, 30.0):
+            assert logsumexp_objective(per_resource, beta, varsigma2) == logsumexp_objective(
+                stacked, beta, varsigma2)
+            np.testing.assert_array_equal(logsumexp_gradient(per_resource, beta, varsigma2),
+                                          logsumexp_gradient(stacked, beta, varsigma2))
+
+
 class TestPairWorkspace:
     """Vectors of one structure share distance slots; none reads another's."""
 
