@@ -16,7 +16,10 @@ When all K * n (resource, pair) entries of a structure fit one gather step
 gradient bins its pair weights with one np.bincount, through one intp index
 offset per resource; larger structures gather and bin resource by resource
 in chunks of pairs. Both add the same terms in the same order, so they give
-the same floats.
+the same floats. Up to J=4 the pair indices are stored as intp, so no call
+converts them; every gather writes into the PairWorkspace's buffers, as do
+the table operands and the gradient's derivative chain, so a warm objective
+or gradient allocates nothing pair-sized.
 The resource layout itself (users, L columns, gains, combination indices)
 comes from model.resource_layout, which the decoder and the union bound read
 too.
@@ -39,20 +42,23 @@ from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py 
 # as conventionally quoted to 4 significant digits.
 CHI2_2_Q95 = 5.991
 
-# Pairs per bincount of the gradient over the static pair indices. Each index
-# block is widened to intp (8 bytes per pair) in the workspace's index buffer,
-# so this bounds that buffer; it holds every pair up to J=5 (523,776),
+# Bound on the intp pair-index entries of a structure. A structure whose
+# K * n (resource, pair) entries fit it (J <= 4: 130,560 at J=4, about 1 MB)
+# stores its pair indices as intp, which np.take and np.bincount read in
+# place. Larger ones (J=5: 2.1M) keep the smallest unsigned dtype, and the
+# gradient widens them block by block into the workspace's intp index
+# buffer, which holds this many pairs: every pair up to J=5 (523,776),
 # splitting only J=6 (8,386,560). The block sums are added in order, so the
-# gradient's rounding depends on this value.
+# gradient's rounding depends on the block length.
 _GATHER_CHUNK = 1 << 20
 
 # Pairs per step of the distance gather (any value gives the same floats).
-# Its per-resource temporaries stay at 128 KiB, small enough to sit in L2 and
-# to be reused from the heap: at J=4 (32,640 pairs) full-size temporaries
-# made glibc grow and trim the heap on every call, about 27,000 page faults
-# per design, against about 500 with this step. A structure whose K * n
-# (resource, pair) entries fit one step is gathered and binned for all
-# resources at once (stack_codebook_set).
+# Each resource's terms of a step are taken into the workspace's 128 KiB
+# scratch, small enough to sit in L2; at J=4 (32,640 pairs) full-size
+# temporaries made glibc grow and trim the heap on every call, about 27,000
+# page faults per design. A structure whose K * n (resource, pair) entries
+# fit one step is gathered and binned for all resources at once
+# (stack_codebook_set).
 _TAKE_CHUNK = 1 << 14
 
 
@@ -66,8 +72,9 @@ class ResourceStack:
     on resource k; padding points at entry 0 with gain 0, so padded values
     are 0. pair_flat[k][p] = a(i) * Qmax + a(j) for the p-th unordered pair
     i < j in np.triu_indices order, where a(i) is the combination (in the
-    layout's mixed radix) of superimposed point i on resource k; stored in
-    the smallest unsigned dtype.
+    layout's mixed radix) of superimposed point i on resource k; stored as
+    intp when all K * n of them fit _GATHER_CHUNK, else in the smallest
+    unsigned dtype.
     """
 
     cols: np.ndarray   # (K, Qmax, dmax) intp
@@ -92,38 +99,46 @@ class ResourceStack:
 
 
 class PairWorkspace:
-    """Pair-sized buffers shared by the StackedVectors of one structure.
+    """Buffers shared by the StackedVectors of one structure.
 
     The objective and gradient need arrays with one entry per point pair:
-    the distances d, the shifted exponentials (or softmin weights) exp and,
-    for a structure gathered resource by resource, one intp block of the
-    pair indices that np.bincount reads, index. At J=4 each is 261 KB, above
-    glibc's default 128 KiB mmap threshold, so allocating them per call made
-    the heap grow and trim on every call (about 31,000 minor faults per
-    design-j4 design). A structure with a pair_stack has no index block but
-    a (K, n) scratch, terms, for its stacked gather and its broadcast
-    weights. The workspace allocates its buffers once with np.empty, which
-    touches no page until a buffer is used, and reuses them.
+    the distances d and the shifted exponentials (or softmin weights) exp.
+    At J=4 each is 261 KB, above glibc's default 128 KiB mmap threshold, so
+    allocating them per call made the heap grow and trim on every call
+    (about 31,000 minor faults per design-j4 design). The gathers write into
+    scratch too: a structure with a pair_stack has a (K, n) terms for its
+    stacked gather and its broadcast weights; any other has a take buffer of
+    one gather step, and, when its pair indices are narrower than intp, an
+    intp index block that np.bincount reads. The (K, Q, Q) table operands
+    (diff, g, root) are kept in parts; table holds the distance tables in a
+    fill and g * root in a gradient, and dt and wt the gradient's derivative
+    tables and its weighted W + W^T. The workspace allocates its buffers
+    once with np.empty, which touches no page until a buffer is used, and
+    reuses them.
 
     The designer evaluates the objective at a point and then, if it accepts
     the point, the gradient at that same point, so the workspace records
     only the last evaluation: d_tag = (vector key, varsigma2) of the
-    distances in d, with that vector's table operands (diff, g, root) in
-    parts, and exp_tag = (vector key, varsigma2, beta) of the exponentials
-    in exp, with their sum exp_total. A tag of None records nothing. Not
-    thread-safe: vectors that share a workspace must not be evaluated
-    concurrently.
+    distances in d and of the table operands in parts, and exp_tag = (vector
+    key, varsigma2, beta) of the exponentials in exp, with their sum
+    exp_total. A tag of None records nothing. Not thread-safe: vectors that
+    share a workspace must not be evaluated concurrently.
     """
 
-    def __init__(self, n_pairs: int, pair_stack: np.ndarray | None):
+    def __init__(self, stack: ResourceStack, n_pairs: int):
+        K, Q = stack.gains.shape[:2]
         self.d = np.empty(n_pairs)
         self.exp = np.empty(n_pairs)
-        self.index = self.terms = None
-        if pair_stack is None:
-            self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        self.terms = self.take = self.index = None
+        if stack.pair_stack is not None:
+            self.terms = np.empty(stack.pair_stack.shape)
         else:
-            self.terms = np.empty(pair_stack.shape)
-        self.d_tag = self.parts = None
+            self.take = np.empty(min(n_pairs, _TAKE_CHUNK))
+        if stack.pair_flat[0].dtype != np.intp:
+            self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        self.parts = (np.empty((K, Q, Q)), np.empty((K, Q)), np.empty((K, Q, Q)))
+        self.table, self.dt, self.wt = np.empty((3, K, Q, Q))
+        self.d_tag = None
         self.exp_tag = self.exp_total = None
 
 
@@ -158,7 +173,8 @@ class StackedVector:
         valid until the distances of another (vector, varsigma2) of this
         structure are computed (distances, logsumexp_objective and
         logsumexp_gradient compute them); copy it to keep it longer. Raises
-        DomainError unless varsigma2 is finite and >= 0.
+        DomainError unless varsigma2 is finite and >= 0 and the entries of L
+        are finite and nonnegative.
         """
         check_real("varsigma2", varsigma2, DomainError, least=0)
         d = self._fill(varsigma2).d.view()
@@ -166,12 +182,19 @@ class StackedVector:
         return d
 
     def _fill(self, varsigma2: float) -> PairWorkspace:
-        """The workspace, holding this vector's distances and table operands at varsigma2."""
+        """The workspace, holding this vector's distances and table operands at varsigma2.
+
+        The entries of L are checked once per fill: a vector must not be
+        changed in place, so a recorded point was checked when it was filled.
+        """
         ws, tag = self.workspace, (self._key, varsigma2)
         if ws.d_tag != tag:
+            # The min is NaN if any entry is; the max catches +inf.
+            if not (self.L.min() >= 0 and self.L.max() < inf):
+                raise DomainError("stacked constellation entries must be finite and nonnegative")
             ws.d_tag = None
-            ws.parts = _table_parts(self.stack.values(self.L), varsigma2)
-            _gather_distances(_distance_tables(ws.parts), self.stack, ws)
+            _table_parts(self.stack.values(self.L), varsigma2, ws.parts)
+            _gather_distances(_distance_tables(ws.parts, ws.table), self.stack, ws)
             ws.d_tag = tag
         return ws
 
@@ -212,7 +235,8 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
             short.setdefault(Q, []).append(k)
     P = len(digits)
     n = P * (P - 1) // 2
-    pair_flat = tuple(_pair_flat(r.combos(digits), Qmax) for r in layout)
+    wide = K * n <= _GATHER_CHUNK
+    pair_flat = tuple(_pair_flat(r.combos(digits), Qmax, wide) for r in layout)
     # At desk scale (J=3: K * n = 8,064) a call costs per-resource call
     # overhead more than arithmetic. Stacking a larger structure (J=4:
     # 130,560) gathers no faster and bins no faster.
@@ -226,13 +250,17 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
         pair_stack=pair_stack,
     )
     return StackedVector(L=L, stack=stack, n_points=P,
-                         workspace=PairWorkspace(n, pair_stack))
+                         workspace=PairWorkspace(stack, n))
 
 
-def _pair_flat(a: np.ndarray, stride: int) -> np.ndarray:
-    """a[i] * stride + a[j] over all pairs i < j, row by row (no P^2 index arrays)."""
+def _pair_flat(a: np.ndarray, stride: int, wide: bool = False) -> np.ndarray:
+    """a[i] * stride + a[j] over all pairs i < j, row by row (no P^2 index arrays).
+
+    Stored as intp if wide, else in the smallest unsigned dtype.
+    """
     P = len(a)
-    out = np.empty(P * (P - 1) // 2, dtype=np.min_scalar_type(stride * stride - 1))
+    dtype = np.intp if wide else np.min_scalar_type(stride * stride - 1)
+    out = np.empty(P * (P - 1) // 2, dtype=dtype)
     lo = 0
     for i in range(P - 1):
         hi = lo + P - 1 - i
@@ -241,22 +269,28 @@ def _pair_flat(a: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _table_parts(v: np.ndarray, varsigma2: float):
-    """(diff, g, root) of the (K, Q, Q) distance tables diff^2 / root of (K, Q) values v.
+def _table_parts(v: np.ndarray, varsigma2: float, out):
+    """(diff, g, root) of the (K, Q, Q) distance tables diff^2 / root of (K, Q) values v, into out.
 
     diff[k, a, b] = v[k, a] - v[k, b], g = varsigma2 * v + 1 and
     root[k, a, b] = sqrt(g[k, a] * g[k, b]), the operands of the pairwise
-    rotated distance.
+    rotated distance; out is a (diff, g, root) tuple of buffers.
     """
-    g = varsigma2 * v + 1.0
-    diff = v[:, :, None] - v[:, None, :]
-    return diff, g, np.sqrt(g[:, :, None] * g[:, None, :])
+    diff, g, root = out
+    np.multiply(v, varsigma2, out=g)
+    g += 1.0
+    np.subtract(v[:, :, None], v[:, None, :], out=diff)
+    np.multiply(g[:, :, None], g[:, None, :], out=root)
+    np.sqrt(root, out=root)
+    return out
 
 
-def _distance_tables(parts) -> np.ndarray:
-    """(K, Q * Q) flattened distance tables diff^2 / root from their operands."""
+def _distance_tables(parts, out: np.ndarray) -> np.ndarray:
+    """(K, Q * Q) flattened distance tables diff^2 / root from their operands, into out."""
     diff, _, root = parts
-    return (diff * diff / root).reshape(len(diff), -1)
+    np.multiply(diff, diff, out=out)
+    out /= root
+    return out.reshape(len(out), -1)
 
 
 def _gather_distances(tables: np.ndarray, stack: ResourceStack, ws: PairWorkspace) -> np.ndarray:
@@ -266,26 +300,33 @@ def _gather_distances(tables: np.ndarray, stack: ResourceStack, ws: PairWorkspac
     terms, and its rows are summed in resource order (numpy reduces the
     slow axis row by row); otherwise _gather_tables gathers them resource by
     resource. Both add the same terms in the same order, and no term is -0.0,
-    so the first row gives the same floats as 0 + the first row.
+    so the first row gives the same floats as 0 + the first row. The pair
+    indices are in range by construction, so every take runs with
+    mode="clip", which writes straight into its out (mode="raise" buffers it).
     """
     if stack.pair_stack is None:
-        return _gather_tables(tables, stack.pair_flat, ws.d)
-    np.take(tables, stack.pair_stack, out=ws.terms)
+        return _gather_tables(tables, stack.pair_flat, ws.d, ws.take)
+    tables.take(stack.pair_stack, out=ws.terms, mode="clip")
     return np.add.reduce(ws.terms, axis=0, out=ws.d)
 
 
-def _gather_tables(tables, pair_flats, out: np.ndarray) -> np.ndarray:
+def _gather_tables(tables, pair_flats, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Rotated pair distances from flattened per-resource tables and pair indices, into out.
 
-    Resource k contributes entry pair_flats[k][p] of tables[k]; out is zeroed
-    and the terms are added in resource order, which defines the result. The
-    gather runs in chunks of pairs.
+    Resource k contributes entry pair_flats[k][p] of tables[k], and the
+    terms are added in resource order, which defines the result. The gather
+    runs in steps of len(scratch) pairs: the first resource's terms are
+    taken straight into out (no term is -0.0, so this equals adding them to
+    0), each later one's into scratch and then added.
     """
-    out.fill(0.0)
-    for lo in range(0, len(out), _TAKE_CHUNK):
-        part = out[lo:lo + _TAKE_CHUNK]
-        for table, flat in zip(tables, pair_flats):
-            part += table.take(flat[lo:lo + _TAKE_CHUNK])
+    step = len(scratch)
+    for lo in range(0, len(out), step):
+        part = out[lo:lo + step]
+        tables[0].take(pair_flats[0][lo:lo + step], out=part, mode="clip")
+        buf = scratch[:len(part)]
+        for table, flat in zip(tables[1:], pair_flats[1:]):
+            table.take(flat[lo:lo + step], out=buf, mode="clip")
+            part += buf
     return out
 
 
@@ -335,20 +376,21 @@ def pairwise_report(
     tables, pair_flats = [], []
     for column in points.T:
         v, a = np.unique(column, return_inverse=True)
-        tables.append(_distance_tables(_table_parts(v[None, :], varsigma2))[0])
-        pair_flats.append(_pair_flat(a, len(v)))
-    d = _gather_tables(tables, pair_flats, np.empty(P * (P - 1) // 2))
+        Q = len(v)
+        diff, g, root = np.empty((1, Q, Q)), np.empty((1, Q)), np.empty((1, Q, Q))
+        parts = _table_parts(v[None, :], varsigma2, (diff, g, root))
+        tables.append(_distance_tables(parts, diff)[0])
+        pair_flats.append(_pair_flat(a, Q))
+    n = P * (P - 1) // 2
+    d = _gather_tables(tables, pair_flats, np.empty(n), np.empty(min(n, _TAKE_CHUNK)))
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
 
 
-def _check_stacked(L: StackedVector, beta: float, varsigma2: float):
+def _check_smoothing(beta: float, varsigma2: float):
     check_real("beta", beta, DomainError, above=0)
     check_real("varsigma2", varsigma2, DomainError, least=0)
-    # The min is NaN if any entry is; the max catches +inf.
-    if not (L.L.min() >= 0 and L.L.max() < inf):
-        raise DomainError("stacked constellation entries must be finite and nonnegative")
 
 
 def _shifted_exp(d: np.ndarray, d_min: float, beta: float, out: np.ndarray) -> np.ndarray:
@@ -358,12 +400,16 @@ def _shifted_exp(d: np.ndarray, d_min: float, beta: float, out: np.ndarray) -> n
     return np.exp(out, out=out)
 
 
-def _bin_pairs(flat: np.ndarray, w: np.ndarray, index: np.ndarray, n_bins: int) -> np.ndarray:
-    """Sum of the pair weights w per entry of flat, over blocks of len(index) pairs.
+def _bin_pairs(flat: np.ndarray, w: np.ndarray, index: np.ndarray | None, n_bins: int) -> np.ndarray:
+    """Sum of the pair weights w per entry of flat.
 
-    Each block of indices is copied into the intp buffer index, so np.bincount
-    reads it without making its own copy; the block sums are added in order.
+    intp indices (index None; they fit one _GATHER_CHUNK block) are binned
+    in place. Narrower ones are copied block by block into the intp buffer
+    index, so np.bincount reads them without making its own copy, and the
+    block sums are added in order.
     """
+    if index is None:
+        return np.bincount(flat, weights=w, minlength=n_bins)
     W = None
     for lo in range(0, len(w), len(index)):
         block = index[:len(w) - lo]
@@ -383,7 +429,7 @@ def logsumexp_objective(L: StackedVector, beta: float, varsigma2: float) -> floa
     by the minimum distance before summation so beta * d overflow cannot occur.
     The exponentials stay in the workspace for a gradient at the same point.
     """
-    _check_stacked(L, beta, varsigma2)
+    _check_smoothing(beta, varsigma2)
     ws = L._fill(varsigma2)
     d_min = ws.d.min()
     ws.exp_tag = None
@@ -401,7 +447,7 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     from the workspace's record of the point, and the exponentials from the
     last objective when it was evaluated at the same (point, varsigma2, beta).
     """
-    _check_stacked(L, beta, varsigma2)
+    _check_smoothing(beta, varsigma2)
     ws, stack = L._fill(varsigma2), L.stack
     w, total = ws.exp, ws.exp_total
     if ws.exp_tag != (L._key, varsigma2, beta):
@@ -424,8 +470,15 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
     W = W.reshape(K, Q, Q)
     # d(table[k, a, b])/d(v[k, a]); the tables are symmetric, so v[k, a]
     # collects the weights of the pairs where it is the first or the second point.
-    dt = 2.0 * diff / root - 0.5 * varsigma2 * diff * diff / (g[:, :, None] * root)
-    terms = (W + W.transpose(0, 2, 1)) * dt
+    # dt = 2 diff / root - 0.5 varsigma2 diff^2 / (g root), in that order of operations.
+    dt = np.multiply(diff, 2.0, out=ws.dt)
+    dt /= root
+    curv = np.multiply(diff, 0.5 * varsigma2, out=ws.wt)
+    curv *= diff
+    curv /= np.multiply(g[:, :, None], root, out=ws.table)
+    dt -= curv
+    terms = np.add(W, W.transpose(0, 2, 1), out=ws.wt)
+    terms *= dt
     dv = -terms.sum(axis=2)
     for q, ks in stack.short_rows:
         dv[ks, :q] = -terms[ks, :q, :q].sum(axis=2)

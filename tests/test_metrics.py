@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,9 +308,10 @@ class TestStructuralKernel:
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_pair_indices_use_small_dtype(self):
-        # On the common Qmax stride: 16^2 entries at J=4, 64^2 at J=6.
+        # J=4's K * n = 130,560 entries fit _GATHER_CHUNK, so they are intp;
+        # J=6 keeps the smallest dtype of its common Qmax stride (64^2 entries).
         sv = stack_codebook_set(load_fixture("ls-j4"))
-        assert all(flat.dtype == np.uint8 for flat in sv.stack.pair_flat)
+        assert all(flat.dtype == np.intp for flat in sv.stack.pair_flat)
         sv = stack_codebook_set(load_fixture("ls-j6"))
         assert all(flat.dtype == np.uint16 for flat in sv.stack.pair_flat)
 
@@ -316,6 +319,16 @@ class TestStructuralKernel:
     def test_distances_reject_bad_varsigma2(self, ls_j3, varsigma2):
         with pytest.raises(DomainError):
             stack_codebook_set(ls_j3).distances(varsigma2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_distances_reject_bad_entries(self, ls_j3, bad):
+        sv = stack_codebook_set(ls_j3)
+        L = sv.L.copy()
+        L[3] = bad
+        with pytest.raises(DomainError):
+            sv.replace(L).distances(5.0)
+        # The failed fill left the workspace's record of sv as it was.
+        np.testing.assert_array_equal(sv.distances(5.0), stack_codebook_set(ls_j3).distances(5.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_bad_entries(self, ls_j3, bad):
@@ -389,9 +402,58 @@ class TestKernelPaths:
             np.testing.assert_array_equal(logsumexp_gradient(per_resource, beta, varsigma2),
                                           logsumexp_gradient(stacked, beta, varsigma2))
 
+    @pytest.mark.parametrize("name, intp", [
+        ("ls-j3", True), ("ls-j4", True), ("ls-j5", False), ("ls-j6", False),
+    ])
+    def test_index_dtype_rule(self, name, intp):
+        # K * n: 8,064 and 130,560 fit _GATHER_CHUNK; 2,095,104 and 33,546,240 do not.
+        sv = stack_codebook_set(load_fixture(name))
+        assert all((flat.dtype == np.intp) == intp for flat in sv.stack.pair_flat)
+        # Only narrow indices need the gradient's intp index block.
+        assert (sv.workspace.index is None) == intp
+
+    @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
+    def test_narrow_indices_bitwise_equal_intp(self, monkeypatch, varsigma2):
+        cb = load_fixture("ls-j4")
+        wide = stack_codebook_set(cb)
+        n = len(wide.workspace.d)
+        # K * n now exceeds the bound, but the gradient still bins all n
+        # pairs in one block, so its rounding is the intp path's.
+        monkeypatch.setattr(metrics, "_GATHER_CHUNK", n)
+        narrow = stack_codebook_set(cb)
+        assert all(flat.dtype == np.uint8 for flat in narrow.stack.pair_flat)
+        assert len(narrow.workspace.index) == n
+        np.testing.assert_array_equal(narrow.distances(varsigma2), wide.distances(varsigma2))
+        for beta in (1.0, 10.0, 30.0):
+            assert logsumexp_objective(narrow, beta, varsigma2) == logsumexp_objective(
+                wide, beta, varsigma2)
+            np.testing.assert_array_equal(logsumexp_gradient(narrow, beta, varsigma2),
+                                          logsumexp_gradient(wide, beta, varsigma2))
+
 
 class TestPairWorkspace:
     """Vectors of one structure share distance slots; none reads another's."""
+
+    @pytest.mark.parametrize("name", ["ls-j3", "ls-j4"])
+    def test_warm_evaluations_allocate_no_pair_sized_array(self, name):
+        # The gathers, the table operands and the derivative chain write into
+        # the workspace, so a warm objective plus gradient allocates only
+        # table-sized arrays, about 18 KB. A buffered np.take of the stacked
+        # J=3 terms alone is 63 KiB, one gather step at J=4 128 KiB.
+        x = stack_codebook_set(load_fixture(name))
+        logsumexp_objective(x, 10.0, 5.0)
+        logsumexp_gradient(x, 10.0, 5.0)
+        points = [x.replace(x.L * s) for s in (0.9, 0.95)]
+        tracemalloc.start()
+        try:
+            for p in points:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                logsumexp_objective(p, 10.0, 5.0)
+                logsumexp_gradient(p, 10.0, 5.0)
+                assert tracemalloc.get_traced_memory()[1] - before < 32 * 1024
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("name", ["ls-j3", "ls-j4", "ls-j5"])
     def test_no_aliasing_across_candidates(self, name):
