@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 usage/configuration error, 3 convergence failure,
 recording the full run configuration, input digests, wall time and the
 environment (Python, numpy and scipy versions, CPU count); timestamps live
 only in manifests so numerical outputs are reproducible byte-for-byte.
+`design` also writes `<out>.report.json` beside the codebook; it has no
+manifest of its own, since the codebook's manifest records the run that
+wrote both.
 """
 
 from __future__ import annotations

@@ -217,6 +217,9 @@ def design(params: SystemParams, config: DesignConfig = DesignConfig()) -> Desig
     books = [block.reshape(params.N, params.M).copy()
              for block in L.reshape(params.J, -1)]
     cb_set = codebook_set_from_constellations(params, books)
+    # The report builds its own pair index; free the structure's first
+    # (about 1.7 MB at J=4), so that the two are never held together.
+    del template, x, best_L
 
     report = pairwise_report(enumerate_superimposed(cb_set), params.varsigma2)
     tight_power = [

@@ -6,18 +6,19 @@ with its analytic gradient, and equal-probability-density ellipse analytics.
 
 Every pair distance is a sum over resources of entries of small per-resource
 tables: a resource takes only a few distinct values (M^d with d users on it),
-so one gather adds the table entries of all pairs through pair indices. The
-designer stacks its per-resource structure and pair indices once per codebook
-structure, zero-padded to the largest resource, and builds the tables of all
-resources in one set of array operations; pairwise_report builds one table
-and its pair indices from the distinct values of each column of the points.
-When all K * n (resource, pair) entries of a structure fit one gather step
-(_TAKE_CHUNK; J=3), a distance fill is one np.take over all K tables and a
-gradient bins its pair weights with one np.bincount, through one intp index
-offset per resource; larger structures gather and bin resource by resource
-in chunks of pairs. Both add the same terms in the same order, so they give
-the same floats. Up to J=4 the pair indices are stored as intp, so no call
-converts them; every gather writes into the PairWorkspace's buffers, as do
+so one gather adds the table entries of all pairs through one pair index. The
+tables are laid end to end in one flat array, and row k of the (K, n) pair
+index points into table k, so one builder (_pair_index) and one gather
+(_gather_tables) serve both callers. The designer stacks its per-resource
+structure and pair index once per codebook structure, zero-padded to the
+largest resource, and builds the tables of all resources in one set of array
+operations; pairwise_report builds one unpadded table per column of the points
+from its distinct values. When all K * n (resource, pair) entries fit one
+gather step (_TAKE_CHUNK; J=3), a distance fill is one np.take and a gradient
+bins its pair weights with one np.bincount; larger structures gather and bin
+row by row, the gather in chunks of pairs. Both add the same terms in the same
+order, so they give the same floats. Up to J=4 the pair index is intp, so no
+call converts it; every gather writes into the PairWorkspace's buffers, as do
 the table operands and the gradient's derivative chain, so a warm objective
 or gradient allocates nothing pair-sized.
 The resource layout itself (users, L columns, gains, combination indices)
@@ -42,23 +43,22 @@ from .model import enumerate_superimposed  # noqa: F401  (benchmarks/tracing.py 
 # as conventionally quoted to 4 significant digits.
 CHI2_2_Q95 = 5.991
 
-# Bound on the intp pair-index entries of a structure. A structure whose
-# K * n (resource, pair) entries fit it (J <= 4: 130,560 at J=4, about 1 MB)
-# stores its pair indices as intp, which np.take and np.bincount read in
-# place. Larger ones (J=5: 2.1M) keep the smallest unsigned dtype, and the
-# gradient widens them block by block into the workspace's intp index
-# buffer, which holds this many pairs: every pair up to J=5 (523,776),
-# splitting only J=6 (8,386,560). The block sums are added in order, so the
-# gradient's rounding depends on the block length.
+# Bound on the entries of an intp pair index. An index whose K * n
+# (resource, pair) entries fit it (J <= 4: 130,560 at J=4, about 1 MB) is
+# intp, which np.take and np.bincount read in place. Larger ones (J=5: 2.1M)
+# keep the smallest unsigned dtype, and the gradient widens each row block by
+# block into the workspace's intp index buffer, which holds this many pairs:
+# every pair up to J=5 (523,776), splitting only J=6 (8,386,560). The block
+# sums are added in order, so the gradient's rounding depends on the block
+# length.
 _GATHER_CHUNK = 1 << 20
 
 # Pairs per step of the distance gather (any value gives the same floats).
-# Each resource's terms of a step are taken into the workspace's 128 KiB
-# scratch, small enough to sit in L2; at J=4 (32,640 pairs) full-size
-# temporaries made glibc grow and trim the heap on every call, about 27,000
-# page faults per design. A structure whose K * n (resource, pair) entries
-# fit one step is gathered and binned for all resources at once
-# (stack_codebook_set).
+# Each resource's terms of a step are taken into a 128 KiB scratch, small
+# enough to sit in L2; at J=4 (32,640 pairs) full-size temporaries made glibc
+# grow and trim the heap on every call, about 27,000 page faults per design.
+# A pair index whose K * n (resource, pair) entries fit one step is gathered,
+# and binned, for all resources at once (_gather_scratch).
 _TAKE_CHUNK = 1 << 14
 
 
@@ -70,23 +70,20 @@ class ResourceStack:
     Qmax rows and dmax users. cols[k, q, u] indexes the stacked entries L at
     user u's entry in combination q, and gains[k, q, u] is that user's gain
     on resource k; padding points at entry 0 with gain 0, so padded values
-    are 0. pair_flat[k][p] = a(i) * Qmax + a(j) for the p-th unordered pair
-    i < j in np.triu_indices order, where a(i) is the combination (in the
-    layout's mixed radix) of superimposed point i on resource k; stored as
-    intp when all K * n of them fit _GATHER_CHUNK, else in the smallest
-    unsigned dtype.
+    are 0. pairs[k, p] = k * Qmax^2 + a(i) * Qmax + a(j) for the p-th
+    unordered pair i < j in np.triu_indices order, where a(i) is the
+    combination (in the layout's mixed radix) of superimposed point i on
+    resource k: an index into the K flattened Qmax x Qmax tables laid end to
+    end (see _pair_index for its dtype).
     """
 
     cols: np.ndarray   # (K, Qmax, dmax) intp
     gains: np.ndarray  # (K, Qmax, dmax)
-    pair_flat: tuple[np.ndarray, ...]
+    pairs: np.ndarray  # (K, n)
     # (Q, resources with Q < Qmax rows): the gradient sums their table rows
     # over their own Q columns, so that every row sum has the length, and so
     # the summation order, of an unpadded table's row.
     short_rows: tuple[tuple[int, np.ndarray], ...]
-    # (K, n) intp: pair_flat[k] + k * Qmax^2, when all K * n (resource, pair)
-    # entries fit one _TAKE_CHUNK step; else None.
-    pair_stack: np.ndarray | None
 
     def values(self, L: np.ndarray) -> np.ndarray:
         """(K, Qmax) resource values, each summed in user order."""
@@ -105,16 +102,16 @@ class PairWorkspace:
     the distances d and the shifted exponentials (or softmin weights) exp.
     At J=4 each is 261 KB, above glibc's default 128 KiB mmap threshold, so
     allocating them per call made the heap grow and trim on every call
-    (about 31,000 minor faults per design-j4 design). The gathers write into
-    scratch too: a structure with a pair_stack has a (K, n) terms for its
-    stacked gather and its broadcast weights; any other has a take buffer of
-    one gather step, and, when its pair indices are narrower than intp, an
-    intp index block that np.bincount reads. The (K, Q, Q) table operands
-    (diff, g, root) are kept in parts; table holds the distance tables in a
-    fill and g * root in a gradient, and dt and wt the gradient's derivative
-    tables and its weighted W + W^T. The workspace allocates its buffers
-    once with np.empty, which touches no page until a buffer is used, and
-    reuses them.
+    (about 31,000 minor faults per design-j4 design). The gather writes into
+    one scratch too (_gather_scratch): (K, n) when all K * n terms fit one
+    gather step, where it also holds the gradient's broadcast weights, else
+    one step of pairs. When the pair index is narrower than intp, an intp
+    index block holds the row blocks that np.bincount reads. The (K, Q, Q)
+    table operands (diff, g, root) are kept in parts; table holds the
+    distance tables in a fill and g * root in a gradient, and dt and wt the
+    gradient's derivative tables and its weighted W + W^T. The workspace
+    allocates its buffers once with np.empty, which touches no page until a
+    buffer is used, and reuses them.
 
     The designer evaluates the objective at a point and then, if it accepts
     the point, the gradient at that same point, so the workspace records
@@ -125,17 +122,15 @@ class PairWorkspace:
     share a workspace must not be evaluated concurrently.
     """
 
-    def __init__(self, stack: ResourceStack, n_pairs: int):
+    def __init__(self, stack: ResourceStack):
         K, Q = stack.gains.shape[:2]
-        self.d = np.empty(n_pairs)
-        self.exp = np.empty(n_pairs)
-        self.terms = self.take = self.index = None
-        if stack.pair_stack is not None:
-            self.terms = np.empty(stack.pair_stack.shape)
-        else:
-            self.take = np.empty(min(n_pairs, _TAKE_CHUNK))
-        if stack.pair_flat[0].dtype != np.intp:
-            self.index = np.empty(min(n_pairs, _GATHER_CHUNK), dtype=np.intp)
+        n = stack.pairs.shape[1]
+        self.d = np.empty(n)
+        self.exp = np.empty(n)
+        self.scratch = _gather_scratch(stack.pairs)
+        self.index = None
+        if stack.pairs.dtype != np.intp:
+            self.index = np.empty(min(n, _GATHER_CHUNK), dtype=np.intp)
         self.parts = (np.empty((K, Q, Q)), np.empty((K, Q)), np.empty((K, Q, Q)))
         self.table, self.dt, self.wt = np.empty((3, K, Q, Q))
         self.d_tag = None
@@ -163,6 +158,18 @@ class StackedVector:
     _key: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     def replace(self, L: np.ndarray) -> "StackedVector":
+        """The vector of this structure at entries L, sharing its workspace.
+
+        Integer entries are converted to float. Raises DomainError unless L
+        holds integers or floats, and DimensionError unless it has the shape
+        of this vector's entries.
+        """
+        # numpy shares one dtype instance among native float64 arrays, so the
+        # designer's candidates pass an identity test; anything else is checked.
+        if getattr(L, "dtype", None) is not self.L.dtype:
+            L = check_array("L", L, DomainError, finite=False)
+        if L.shape != self.L.shape:
+            raise DimensionError(f"L must have shape {self.L.shape}, got {L.shape}")
         return StackedVector(L=L, stack=self.stack, n_points=self.n_points,
                              workspace=self.workspace)
 
@@ -194,7 +201,8 @@ class StackedVector:
                 raise DomainError("stacked constellation entries must be finite and nonnegative")
             ws.d_tag = None
             _table_parts(self.stack.values(self.L), varsigma2, ws.parts)
-            _gather_distances(_distance_tables(ws.parts, ws.table), self.stack, ws)
+            tables = _distance_tables(ws.parts, ws.table)
+            _gather_tables(tables, self.stack.pairs, ws.d, ws.scratch)
             ws.d_tag = tag
         return ws
 
@@ -233,40 +241,36 @@ def stack_codebook_set(cb_set: CodebookSet) -> StackedVector:
         gains[k, :Q, :d] = r.gains
         if Q < Qmax:
             short.setdefault(Q, []).append(k)
-    P = len(digits)
-    n = P * (P - 1) // 2
-    wide = K * n <= _GATHER_CHUNK
-    pair_flat = tuple(_pair_flat(r.combos(digits), Qmax, wide) for r in layout)
-    # At desk scale (J=3: K * n = 8,064) a call costs per-resource call
-    # overhead more than arithmetic. Stacking a larger structure (J=4:
-    # 130,560) gathers no faster and bins no faster.
-    pair_stack = None
-    if K * n <= _TAKE_CHUNK:
-        pair_stack = np.array(pair_flat, dtype=np.intp)
-        pair_stack += Qmax * Qmax * np.arange(K)[:, None]
     stack = ResourceStack(
-        cols=cols, gains=gains, pair_flat=pair_flat,
+        cols=cols, gains=gains,
+        pairs=_pair_index([r.combos(digits) for r in layout], [Qmax] * K),
         short_rows=tuple((Q, np.array(ks)) for Q, ks in short.items()),
-        pair_stack=pair_stack,
     )
-    return StackedVector(L=L, stack=stack, n_points=P,
-                         workspace=PairWorkspace(stack, n))
+    return StackedVector(L=L, stack=stack, n_points=len(digits),
+                         workspace=PairWorkspace(stack))
 
 
-def _pair_flat(a: np.ndarray, stride: int, wide: bool = False) -> np.ndarray:
-    """a[i] * stride + a[j] over all pairs i < j, row by row (no P^2 index arrays).
+def _pair_index(combos, sizes) -> np.ndarray:
+    """(K, n) pair index into K flattened sizes[k] x sizes[k] tables laid end to end.
 
-    Stored as intp if wide, else in the smallest unsigned dtype.
+    Row k holds start_k + a(i) * sizes[k] + a(j) for all pairs i < j of the P
+    points in np.triu_indices order, where a = combos[k] and start_k is the
+    sum of the earlier tables' sizes; it is built row by row, with no P^2
+    index arrays. The index is intp when all K * n entries fit _GATHER_CHUNK,
+    else in the smallest unsigned dtype that indexes every table entry.
     """
-    P = len(a)
-    dtype = np.intp if wide else np.min_scalar_type(stride * stride - 1)
-    out = np.empty(P * (P - 1) // 2, dtype=dtype)
-    lo = 0
-    for i in range(P - 1):
-        hi = lo + P - 1 - i
-        out[lo:hi] = a[i] * stride + a[i + 1:]
-        lo = hi
-    return out
+    P = len(combos[0])
+    n = P * (P - 1) // 2
+    starts = np.cumsum([0] + [Q * Q for Q in sizes]).tolist()
+    dtype = np.intp if len(sizes) * n <= _GATHER_CHUNK else np.min_scalar_type(starts[-1] - 1)
+    pairs = np.empty((len(sizes), n), dtype=dtype)
+    for row, a, Q, start in zip(pairs, combos, sizes, starts):
+        lo = 0
+        for i in range(P - 1):
+            hi = lo + P - 1 - i
+            row[lo:hi] = a[i] * Q + start + a[i + 1:]
+            lo = hi
+    return pairs
 
 
 def _table_parts(v: np.ndarray, varsigma2: float, out):
@@ -286,46 +290,48 @@ def _table_parts(v: np.ndarray, varsigma2: float, out):
 
 
 def _distance_tables(parts, out: np.ndarray) -> np.ndarray:
-    """(K, Q * Q) flattened distance tables diff^2 / root from their operands, into out."""
+    """Distance tables diff^2 / root from their operands, into out, flattened end to end."""
     diff, _, root = parts
     np.multiply(diff, diff, out=out)
     out /= root
-    return out.reshape(len(out), -1)
+    return out.reshape(-1)
 
 
-def _gather_distances(tables: np.ndarray, stack: ResourceStack, ws: PairWorkspace) -> np.ndarray:
-    """Rotated pair distances of a structure from its (K, Qmax^2) tables, into ws.d.
+def _gather_scratch(pairs: np.ndarray) -> np.ndarray:
+    """The gather's scratch for a (K, n) pair index: (K, n) if all K * n terms fit one step."""
+    # At desk scale (J=3: K * n = 8,064) a call costs per-row call overhead
+    # more than arithmetic. Stacking a larger index is slower: at J=4
+    # (130,560) a stacked ls-j4 fill took 151-156 us against 142-143 us row
+    # by row, and objective plus gradient 488-514 us against 446-458 us
+    # (best of 15 rounds over 50 points, 2-core Xeon).
+    K, n = pairs.shape
+    return np.empty((K, n) if K * n <= _TAKE_CHUNK else min(n, _TAKE_CHUNK))
 
-    With a pair_stack, one np.take fills ws.terms with every resource's
-    terms, and its rows are summed in resource order (numpy reduces the
-    slow axis row by row); otherwise _gather_tables gathers them resource by
-    resource. Both add the same terms in the same order, and no term is -0.0,
-    so the first row gives the same floats as 0 + the first row. The pair
-    indices are in range by construction, so every take runs with
-    mode="clip", which writes straight into its out (mode="raise" buffers it).
+
+def _gather_tables(tables: np.ndarray, pairs: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Rotated pair distances from the flattened tables and a (K, n) pair index, into out.
+
+    Row k of pairs takes resource k's terms, and the terms are added in
+    resource order, which defines the result. With a (K, n) scratch one
+    np.take fills it with every term and its rows are summed (numpy reduces
+    the slow axis row by row); otherwise the gather runs in steps of
+    len(scratch) pairs, the first row's terms taken straight into out and
+    each later row's into scratch and then added. No term is -0.0, so both
+    give the same floats as adding the first row to 0. The indices are in
+    range by construction, so every take runs with mode="clip", which writes
+    straight into its out (mode="raise" buffers it).
     """
-    if stack.pair_stack is None:
-        return _gather_tables(tables, stack.pair_flat, ws.d, ws.take)
-    tables.take(stack.pair_stack, out=ws.terms, mode="clip")
-    return np.add.reduce(ws.terms, axis=0, out=ws.d)
-
-
-def _gather_tables(tables, pair_flats, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Rotated pair distances from flattened per-resource tables and pair indices, into out.
-
-    Resource k contributes entry pair_flats[k][p] of tables[k], and the
-    terms are added in resource order, which defines the result. The gather
-    runs in steps of len(scratch) pairs: the first resource's terms are
-    taken straight into out (no term is -0.0, so this equals adding them to
-    0), each later one's into scratch and then added.
-    """
+    if scratch.shape == pairs.shape:
+        tables.take(pairs, out=scratch, mode="clip")
+        return np.add.reduce(scratch, axis=0, out=out)
     step = len(scratch)
     for lo in range(0, len(out), step):
         part = out[lo:lo + step]
-        tables[0].take(pair_flats[0][lo:lo + step], out=part, mode="clip")
+        tables.take(pairs[0, lo:lo + step], out=part, mode="clip")
         buf = scratch[:len(part)]
-        for table, flat in zip(tables[1:], pair_flats[1:]):
-            table.take(flat[lo:lo + step], out=buf, mode="clip")
+        for row in pairs[1:]:
+            tables.take(row[lo:lo + step], out=buf, mode="clip")
             part += buf
     return out
 
@@ -357,8 +363,9 @@ def pairwise_report(
 ) -> DistanceReport:
     """d_min/d_max of the rotated distance over all unordered point pairs.
 
-    Each column of the points becomes one table over its distinct values, and
-    the pair distances are gathered from those tables as the designer's are.
+    Each column of the points becomes one table over its distinct values, at
+    its own size, and the pair distances are gathered from those tables as
+    the designer's are.
     bins, None or an integer >= 1, asks for a histogram of the distances.
     Raises CapacityError above DEFAULT_MAX_POINTS points.
     """
@@ -373,19 +380,30 @@ def pairwise_report(
         raise CapacityError(f"{P} points exceed the limit {DEFAULT_MAX_POINTS}")
     if P < 2:
         raise DomainError("a distance report needs at least two points")
-    tables, pair_flats = [], []
-    for column in points.T:
-        v, a = np.unique(column, return_inverse=True)
-        Q = len(v)
-        diff, g, root = np.empty((1, Q, Q)), np.empty((1, Q)), np.empty((1, Q, Q))
-        parts = _table_parts(v[None, :], varsigma2, (diff, g, root))
-        tables.append(_distance_tables(parts, diff)[0])
-        pair_flats.append(_pair_flat(a, Q))
-    n = P * (P - 1) // 2
-    d = _gather_tables(tables, pair_flats, np.empty(n), np.empty(min(n, _TAKE_CHUNK)))
+    d = _column_distances(points, varsigma2)
     histogram = np.histogram(d, bins=bins) if bins is not None else None
     return DistanceReport(d_min=float(d.min()), d_max=float(d.max()),
                           pair_count=len(d), histogram=histogram)
+
+
+def _column_distances(points: np.ndarray, varsigma2: float) -> np.ndarray:
+    """Rotated distances of all unordered pairs of the (P, K) points (triu order).
+
+    Column k's table covers its Q_k distinct values, laid end to end after
+    the earlier columns' tables. The pair index, as large as the distances
+    or larger, is freed on return, before the caller's histogram.
+    """
+    columns = [np.unique(column, return_inverse=True) for column in points.T]
+    sizes = [len(v) for v, _ in columns]
+    pairs = _pair_index([a for _, a in columns], sizes)
+    tables = np.empty(sum(Q * Q for Q in sizes))
+    start = 0
+    for (v, _), Q in zip(columns, sizes):
+        table = tables[start:start + Q * Q].reshape(1, Q, Q)
+        parts = _table_parts(v[None, :], varsigma2, (table, np.empty((1, Q)), np.empty((1, Q, Q))))
+        _distance_tables(parts, table)
+        start += Q * Q
+    return _gather_tables(tables, pairs, np.empty(pairs.shape[1]), _gather_scratch(pairs))
 
 
 def _check_smoothing(beta: float, varsigma2: float):
@@ -400,25 +418,24 @@ def _shifted_exp(d: np.ndarray, d_min: float, beta: float, out: np.ndarray) -> n
     return np.exp(out, out=out)
 
 
-def _bin_pairs(flat: np.ndarray, w: np.ndarray, index: np.ndarray | None, n_bins: int) -> np.ndarray:
-    """Sum of the pair weights w per entry of flat.
+def _bin_pairs(pairs: np.ndarray, w: np.ndarray, index: np.ndarray | None, n_bins: int) -> np.ndarray:
+    """Sum of the pair weights w per entry of a (K, n) pair index, binned row by row.
 
-    intp indices (index None; they fit one _GATHER_CHUNK block) are binned
-    in place. Narrower ones are copied block by block into the intp buffer
-    index, so np.bincount reads them without making its own copy, and the
-    block sums are added in order.
+    An intp index (index None; it fits one _GATHER_CHUNK block) is binned in
+    place. A narrower one is copied block by block into the intp buffer
+    index, so np.bincount reads it without making its own copy. The row and
+    block sums are added in order; a row's bins hold none of the other rows'
+    entries, so each bin gets its own row's block sums plus exact zeros.
     """
-    if index is None:
-        return np.bincount(flat, weights=w, minlength=n_bins)
-    W = None
-    for lo in range(0, len(w), len(index)):
-        block = index[:len(w) - lo]
-        np.copyto(block, flat[lo:lo + len(block)])
-        part = np.bincount(block, weights=w[lo:lo + len(block)], minlength=n_bins)
-        if W is None:
-            W = part
-        else:
-            W += part
+    W = np.zeros(n_bins)
+    step = len(w) if index is None else len(index)
+    for row in pairs:
+        for lo in range(0, len(w), step):
+            block = row[lo:lo + step]
+            if index is not None:
+                np.copyto(index[:len(block)], block)
+                block = index[:len(block)]
+            W += np.bincount(block, weights=w[lo:lo + step], minlength=n_bins)
     return W
 
 
@@ -458,15 +475,13 @@ def logsumexp_gradient(L: StackedVector, beta: float, varsigma2: float) -> np.nd
 
     diff, g, root = ws.parts
     K, Q = g.shape
-    if stack.pair_stack is None:
-        W = np.empty((K, Q * Q))
-        for k, flat in enumerate(stack.pair_flat):
-            W[k] = _bin_pairs(flat, w, ws.index, Q * Q)
-    else:
+    if ws.scratch.shape == stack.pairs.shape:
         # Resource k's bins are offset by k * Q^2, so each bin adds its
         # weights in pair order from 0, as a bincount per resource does.
-        np.copyto(ws.terms, w)
-        W = np.bincount(stack.pair_stack.ravel(), weights=ws.terms.ravel(), minlength=K * Q * Q)
+        np.copyto(ws.scratch, w)
+        W = np.bincount(stack.pairs.ravel(), weights=ws.scratch.ravel(), minlength=K * Q * Q)
+    else:
+        W = _bin_pairs(stack.pairs, w, ws.index, K * Q * Q)
     W = W.reshape(K, Q, Q)
     # d(table[k, a, b])/d(v[k, a]); the tables are symmetric, so v[k, a]
     # collects the weights of the pairs where it is the first or the second point.

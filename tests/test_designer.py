@@ -275,7 +275,7 @@ class TestEvaluationReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_gather_distances": 0, "_shifted_exp": 0}
+        calls = {"_gather_tables": 0, "_shifted_exp": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(metrics, name)):
                 calls[_name] += 1
@@ -288,16 +288,16 @@ class TestEvaluationReuse:
         x = random_init(PARAMS, 0, template())
         logsumexp_objective(x, 10.0, PARAMS.varsigma2)
         logsumexp_gradient(x, 10.0, PARAMS.varsigma2)
-        assert calls == {"_gather_distances": 1, "_shifted_exp": 1}
+        assert calls == {"_gather_tables": 1, "_shifted_exp": 1}
 
     def test_step_accepting_first_candidate(self, calls):
         x = random_init(PARAMS, 0, template())
         f = logsumexp_objective(x, 10.0, PARAMS.varsigma2)
-        calls.update(_gather_distances=0, _shifted_exp=0)
+        calls.update(_gather_tables=0, _shifted_exp=0)
         _, _, step, accepted = _pgd_step(x, f, 1.0, 10.0, PARAMS)
         assert accepted and step == _STEP_GROW
         # The candidate's objective; the gradient at x reused x's.
-        assert calls == {"_gather_distances": 1, "_shifted_exp": 1}
+        assert calls == {"_gather_tables": 1, "_shifted_exp": 1}
 
 
 class TestGoldenDesign:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scma_vlc import (
     stack_codebook_set,
 )
 from scma_vlc import metrics
-from scma_vlc.errors import CapacityError, DomainError, UnsupportedError
+from scma_vlc.errors import CapacityError, DimensionError, DomainError, UnsupportedError
 from scma_vlc.metrics import CHI2_2_Q95
 from scma_vlc.model import SuperConstellation
 
@@ -125,6 +126,27 @@ class TestStackedVector:
         manual = np.concatenate([b.C.reshape(-1) for b in ls_j3.books])
         np.testing.assert_array_equal(sv.L, manual)
 
+    @pytest.mark.parametrize("shape", [(25,), (23,), (3, 8)])
+    def test_replace_rejects_wrong_shape(self, ls_j3, shape):
+        # ls-j3 has 24 entries; an extra one used to be ignored by the
+        # distances and returned by the gradient.
+        with pytest.raises(DimensionError):
+            stack_codebook_set(ls_j3).replace(np.ones(shape))
+
+    def test_replace_converts_integer_entries(self, ls_j3):
+        L = np.rint(stack_codebook_set(ls_j3).L).astype(np.int64)
+        x = stack_codebook_set(ls_j3).replace(L)
+        want = stack_codebook_set(ls_j3).replace(L.astype(float))
+        assert x.L.dtype == np.float64
+        np.testing.assert_array_equal(x.distances(5.0), want.distances(5.0))
+        np.testing.assert_array_equal(logsumexp_gradient(x, 10.0, 5.0),
+                                      logsumexp_gradient(want, 10.0, 5.0))
+
+    @pytest.mark.parametrize("dtype", [bool, complex, object])
+    def test_replace_rejects_non_numeric_entries(self, ls_j3, dtype):
+        with pytest.raises(DomainError):
+            stack_codebook_set(ls_j3).replace(np.ones(24, dtype=dtype))
+
 
 class TestPairwiseReport:
     def test_pair_count(self, ls_j3):
@@ -174,6 +196,33 @@ class TestPairwiseReport:
     def test_rejects_single_point(self):
         with pytest.raises(DomainError):
             pairwise_report(_constellation(np.ones((1, 4))), 5.0)
+
+    @pytest.mark.parametrize("P, single_take, dtype", [
+        (64, True, np.intp), (256, False, np.intp), (1024, False, np.uint32),
+    ])
+    def test_unequal_columns_bitwise_equal_reference(self, monkeypatch, P, single_take, dtype):
+        # Columns with P, 2, 7 and 1 distinct values: tables of unequal sizes
+        # laid end to end, so every row of the pair index has its own offset.
+        rng = np.random.default_rng(P)
+        points = np.column_stack([
+            rng.permutation(P) * 0.25 + 0.1,
+            rng.choice([0.5, 3.0], P),
+            rng.choice(rng.uniform(0.0, 5.0, 7), P),
+            np.full(P, 2.0),
+        ])
+        # K * n: 8,064 terms take one step; 130,560 and 2,095,104 go in steps,
+        # the last past _GATHER_CHUNK with a narrow index.
+        paths = []
+
+        def spy(tables, pairs, out, scratch):
+            paths.append((scratch.shape == pairs.shape, pairs.dtype))
+            return gather(tables, pairs, out, scratch)
+
+        gather = metrics._gather_tables
+        monkeypatch.setattr(metrics, "_gather_tables", spy)
+        for varsigma2 in (0.0, 5.0):
+            assert_report_equals_reference(_constellation(points), varsigma2)
+        assert paths == [(single_take, dtype)] * 2
 
 
 class TestLogsumexpObjective:
@@ -309,11 +358,9 @@ class TestStructuralKernel:
 
     def test_pair_indices_use_small_dtype(self):
         # J=4's K * n = 130,560 entries fit _GATHER_CHUNK, so they are intp;
-        # J=6 keeps the smallest dtype of its common Qmax stride (64^2 entries).
-        sv = stack_codebook_set(load_fixture("ls-j4"))
-        assert all(flat.dtype == np.intp for flat in sv.stack.pair_flat)
-        sv = stack_codebook_set(load_fixture("ls-j6"))
-        assert all(flat.dtype == np.uint16 for flat in sv.stack.pair_flat)
+        # J=6 keeps the smallest dtype that indexes its tables (4 * 64^2 entries).
+        assert stack_codebook_set(load_fixture("ls-j4")).stack.pairs.dtype == np.intp
+        assert stack_codebook_set(load_fixture("ls-j6")).stack.pairs.dtype == np.uint16
 
     @pytest.mark.parametrize("varsigma2", [np.nan, np.inf, -1.0])
     def test_distances_reject_bad_varsigma2(self, ls_j3, varsigma2):
@@ -374,8 +421,21 @@ class TestStructuralKernel:
 
 class TestKernelPaths:
     """A structure whose K * n (resource, pair) entries fit one gather step is
-    gathered and binned through one stacked index; larger ones resource by
-    resource. Both give the same floats."""
+    gathered and binned in one call over its whole (K, n) pair index; larger
+    ones row by row. Both give the same floats."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_one_pair_index(self, name):
+        # The structure holds one pair-sized array, its (K, n) pair index,
+        # and no per-resource copy of it.
+        sv = stack_codebook_set(load_fixture(name))
+        K, n = sv.stack.pairs.shape
+        assert n == sv.n_points * (sv.n_points - 1) // 2
+        assert sv.stack.pairs.nbytes == K * n * sv.stack.pairs.itemsize
+        assert sv.stack.pairs.base is None
+        assert [f.name for f in fields(sv.stack)] == ["cols", "gains", "pairs", "short_rows"]
+        held = [sv.stack.cols, sv.stack.gains] + [ks for _, ks in sv.stack.short_rows]
+        assert all(a.size < n for a in held)
 
     @pytest.mark.parametrize("name, stacked", [
         ("ls-j3", True), ("dr-j3", True), ("random-j2-k5", True), ("ls-j4", False),
@@ -384,16 +444,15 @@ class TestKernelPaths:
         # K * n: 8,064 at J=3, 600 for J=2 on K=5, 130,560 at J=4.
         cb = random_codebook_set(2, seed=7, K=5) if name == "random-j2-k5" else load_fixture(name)
         sv = stack_codebook_set(cb)
-        assert (sv.stack.pair_stack is not None) == stacked
-        assert (sv.workspace.terms is not None) == stacked
+        assert (sv.workspace.scratch.shape == sv.stack.pairs.shape) == stacked
 
     @pytest.mark.parametrize("varsigma2", [0.0, 5.0])
     def test_per_resource_path_bitwise_equal_stacked(self, ls_j3, monkeypatch, varsigma2):
         stacked = stack_codebook_set(ls_j3)
-        K, n = stacked.stack.pair_stack.shape
+        K, n = stacked.stack.pairs.shape
         monkeypatch.setattr(metrics, "_TAKE_CHUNK", K * n - 1)
         per_resource = stack_codebook_set(ls_j3)
-        assert per_resource.stack.pair_stack is None
+        assert per_resource.workspace.scratch.shape == (n,)
         np.testing.assert_array_equal(per_resource.distances(varsigma2),
                                       stacked.distances(varsigma2))
         for beta in (1.0, 10.0, 30.0):
@@ -408,7 +467,7 @@ class TestKernelPaths:
     def test_index_dtype_rule(self, name, intp):
         # K * n: 8,064 and 130,560 fit _GATHER_CHUNK; 2,095,104 and 33,546,240 do not.
         sv = stack_codebook_set(load_fixture(name))
-        assert all((flat.dtype == np.intp) == intp for flat in sv.stack.pair_flat)
+        assert (sv.stack.pairs.dtype == np.intp) == intp
         # Only narrow indices need the gradient's intp index block.
         assert (sv.workspace.index is None) == intp
 
@@ -421,7 +480,8 @@ class TestKernelPaths:
         # pairs in one block, so its rounding is the intp path's.
         monkeypatch.setattr(metrics, "_GATHER_CHUNK", n)
         narrow = stack_codebook_set(cb)
-        assert all(flat.dtype == np.uint8 for flat in narrow.stack.pair_flat)
+        # 4 * 16^2 table entries need uint16.
+        assert narrow.stack.pairs.dtype == np.uint16
         assert len(narrow.workspace.index) == n
         np.testing.assert_array_equal(narrow.distances(varsigma2), wide.distances(varsigma2))
         for beta in (1.0, 10.0, 30.0):
